@@ -177,8 +177,10 @@ inline std::string run_metadata_json() {
                 std::thread::hardware_concurrency(), scale_factor(),
                 runtime::wait_policy_name(runtime::default_wait_policy()),
                 default_optimistic_acquire() ? "true" : "false",
-                default_stripe_self_commuting() ? default_counter_stripes()
-                                                : 0,
+                default_storage() == StorageKind::Striped &&
+                        default_stripe_self_commuting()
+                    ? default_counter_stripes()
+                    : 0,
                 runtime::grant_policy_name(runtime::default_grant_policy()),
                 static_cast<unsigned>(runtime::default_bypass_bound()),
                 storage_kind_name(default_storage()),

@@ -69,7 +69,8 @@ void report(const char* bench, const char* strategy, const Contention& c) {
 // --- Fast-path sweep (ISSUE 3 headline) -------------------------------------
 // Acquire/release throughput of a self-commuting read mode R={contains(*)}
 // that conflicts with a writer mode W={add(*),remove(*)}, read-mostly mix.
-// `fastpath` is the shipped configuration (optimistic + striped counters);
+// `fastpath` is optimistic + Striped counters, the reader-flood
+// configuration (Striped is opt-in; the shipped default is Flat);
 // `spinlock` forces every acquisition through the partition-spinlock
 // arbitrated path — the pre-ISSUE-3 mechanism. Same table, same wait policy,
 // same workload: the gap is pure acquire-path overhead.
@@ -79,6 +80,7 @@ ModeTable make_sweep_table(bool fastpath) {
   using commute::SymbolicSet;
   ModeTableConfig cfg;
   cfg.optimistic_acquire = fastpath;
+  if (fastpath) cfg.storage = StorageKind::Striped;
   cfg.stripe_self_commuting = fastpath;  // stripe count: auto (per-machine)
   return ModeTable::compile(
       commute::set_spec(),

@@ -39,6 +39,7 @@ ModeTable make_flood_table() {
   // the ScopedGrantPolicy around each sweep cell.
   ModeTableConfig cfg;
   cfg.optimistic_acquire = true;
+  cfg.storage = StorageKind::Striped;
   cfg.stripe_self_commuting = true;
   return ModeTable::compile(
       commute::set_spec(),

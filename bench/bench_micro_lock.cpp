@@ -74,6 +74,7 @@ void BM_SelfCommutingAcquire(benchmark::State& state) {
   static const ModeTable fast_table = [] {
     ModeTableConfig cfg;
     cfg.optimistic_acquire = true;
+    cfg.storage = StorageKind::Striped;
     cfg.stripe_self_commuting = true;
     cfg.counter_stripes = 64;
     return ModeTable::compile(

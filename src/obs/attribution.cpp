@@ -327,11 +327,11 @@ AttrClass classify_wait(const ModeTable& table, int waiter_mode,
       waiter.logical_instance != holder.logical_instance) {
     return AttrClass::kWrapperCoarsening;
   }
-  // Rule 2: nothing to re-check the spec against.
-  if (!waiter.valid || !holder.valid) {
-    return waiter_mode == holder_mode ? AttrClass::kSelfMode
-                                      : AttrClass::kUnsampled;
-  }
+  // Rule 2: nothing to re-check the spec against. Equal modes are no
+  // evidence either: a missing holder record is usually one not yet
+  // published on another core, so guessing SELF_MODE would swallow the
+  // PHI_COLLISION or MODE_OVERAPPROX waits it hides.
+  if (!waiter.valid || !holder.valid) return AttrClass::kUnsampled;
   const commute::AdtSpec& spec = table.spec();
   const commute::ValueAbstraction& phi = table.abstraction();
   const std::vector<BoundOp> wops = bind_ops(table, waiter, 0);

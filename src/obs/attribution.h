@@ -11,8 +11,8 @@
 //   TRUE_CONFLICT      the concrete ops genuinely do not commute — the wait
 //                      is semantically required, no tuning helps.
 //   SELF_MODE          waiter and holder use the same non-self-commuting
-//                      mode (the degenerate true conflict: same key, or no
-//                      argument record to prove otherwise).
+//                      mode and both argument records show the concrete ops
+//                      conflict (the degenerate true conflict: same key).
 //   PHI_COLLISION      the concrete values commute, but phi.alpha_of merged
 //                      them into one abstract value — raising
 //                      ModeTableConfig::abstract_values dissolves the wait.
@@ -25,9 +25,10 @@
 //                      the Section 3.4 global-wrapper collapse funnels
 //                      unrelated instances through one mechanism.
 //   UNSAMPLED          no stable argument record was available (torn
-//                      seqlock read, record overwritten, or a caller that
+//                      seqlock read, record overwritten or not yet
+//                      published by the holder's core, or a caller that
 //                      locked by bare mode id) — counted honestly instead
-//                      of being folded into a guess.
+//                      of being folded into a guess, even for equal modes.
 //
 // Everything here is off the fast path: classification runs only on entry
 // to the contended wait loop of a TRACED mechanism, subject to
@@ -155,8 +156,7 @@ void reset_executed_ops() noexcept;
 // the ops its owner actually executed against this instance (0 = no
 // restriction). Rules, in order:
 //   1. both sides valid with distinct nonzero logical ids -> WRAPPER_COARSENING
-//   2. either side lacks a usable record -> SELF_MODE if waiter_mode ==
-//      holder_mode (the conflict is self-evident) else UNSAMPLED
+//   2. either side lacks a usable record -> UNSAMPLED, whatever the modes
 //   3. any (waiter op, holder op) pair non-commuting on the concrete values
 //      -> SELF_MODE if same mode else TRUE_CONFLICT
 //   4. all pairs commute concretely but some pair fails the ABSTRACT check

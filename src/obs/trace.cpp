@@ -67,6 +67,13 @@ const char* event_name(EventType type) noexcept {
 namespace detail {
 std::atomic<bool> g_runtime_enabled{false};
 std::atomic<std::uint64_t> g_next_txn{0};
+
+void refill_txn_block(TxnTls& tls) noexcept {
+  const std::uint64_t first =
+      g_next_txn.fetch_add(kTxnIdBlock, std::memory_order_relaxed) + 1;
+  tls.next_id = first;
+  tls.block_end = first + kTxnIdBlock;
+}
 }  // namespace detail
 
 namespace {
@@ -758,9 +765,7 @@ void reset_for_test() {
   Registry::instance().reset(&thread_state());
   reset_spans_for_test();
   detail::g_next_txn.store(0, std::memory_order_relaxed);
-  detail::txn_tls().id = 0;
-  detail::txn_tls().depth = 0;
-  detail::txn_tls().last_id = 0;
+  detail::txn_tls() = detail::TxnTls{};
   // Drop un-drained snapshot requests (the written count stays monotonic so
   // earlier files are never overwritten) and the executed-ops evidence.
   g_snapshot_claims.store(g_snapshot_requests.load(std::memory_order_acquire),

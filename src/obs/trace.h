@@ -70,9 +70,16 @@ namespace detail {
 extern std::atomic<bool> g_runtime_enabled;
 extern std::atomic<std::uint64_t> g_next_txn;
 
+// Transaction ids are handed to each thread in blocks of this many, so
+// opening a transaction touches no shared cache line except once per block.
+inline constexpr std::uint64_t kTxnIdBlock = 1024;
+
 struct TxnTls {
   std::uint64_t id = 0;
   std::uint32_t depth = 0;
+  // The thread's unused ids are [next_id, block_end); empty when equal.
+  std::uint64_t next_id = 0;
+  std::uint64_t block_end = 0;
   // Id of the thread's most recently closed outermost transaction; lets the
   // server stamp a queue-wait span with the transaction its request ran as
   // (last_completed_txn) without threading ids through the backend API.
@@ -82,6 +89,8 @@ inline TxnTls& txn_tls() noexcept {
   thread_local TxnTls tls;
   return tls;
 }
+// Refills tls's id block from g_next_txn (out of line: once per block).
+void refill_txn_block(TxnTls& tls) noexcept;
 }  // namespace detail
 
 // The ambient default for ModeTableConfig::trace_events and the gate for
@@ -109,13 +118,17 @@ std::uint32_t ring_capacity() noexcept;
 void set_ring_capacity(std::uint32_t events) noexcept;
 
 // --- transaction identity ---------------------------------------------------
-// Every outermost Transaction gets a process-unique id; events emitted while
-// it is open are stamped with it. Nested transactions share the outer id.
+// Every outermost Transaction gets a process-unique, nonzero id below 2^63
+// (the top bit marks thread owner ids, see current_owner_id()); events
+// emitted while it is open are stamped with it. Nested transactions share
+// the outer id. Ids come from per-thread blocks of kTxnIdBlock, so they are
+// neither dense nor ordered across threads.
 
 inline void txn_begin() noexcept {
   detail::TxnTls& tls = detail::txn_tls();
   if (tls.depth++ == 0) {
-    tls.id = detail::g_next_txn.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (tls.next_id == tls.block_end) detail::refill_txn_block(tls);
+    tls.id = tls.next_id++;
   }
 }
 
@@ -225,7 +238,9 @@ void set_trace_file(const std::string& path);
 
 // Test hook: drops retired-thread data, zeroes the folded global totals and
 // the calling thread's own ring/stats/accumulators, and resets the txn
-// counter. Other live threads are left untouched.
+// counter and the calling thread's id block, so its next transaction is
+// id 1. Other live threads are left untouched: ids from a block they took
+// before the reset may repeat ids handed out after it.
 void reset_for_test();
 
 }  // namespace semlock::obs

@@ -433,15 +433,15 @@ LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
   }
 }
 
-void LockMechanism::packed_word_wait(PackedStorage& s,
-                                     std::uint64_t observed) {
+void LockMechanism::word_wait(std::atomic<std::uint64_t>& word,
+                              std::uint64_t observed) {
 #if defined(SEMLOCK_DCT)
   if (dct::scheduled()) {
-    dct::futex_wait(s.word(), observed);
+    dct::futex_wait(word, observed);
     return;
   }
 #endif
-  s.word().wait(observed, std::memory_order_seq_cst);
+  word.wait(observed, std::memory_order_seq_cst);
 }
 
 bool LockMechanism::try_elide(PackedStorage& s, int mode) {
@@ -598,6 +598,22 @@ bool LockMechanism::waiter_eligible(int partition,
       break;
   }
   return true;
+}
+
+std::atomic<std::uint64_t>& LockMechanism::turn_cursor(int partition) {
+  GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
+  return grant_policy_ == runtime::GrantPolicyKind::PhaseFair
+             ? slot.phase_end
+             : slot.granted;
+}
+
+void LockMechanism::turn_wait(int partition, std::uint64_t ticket) {
+  std::atomic<std::uint64_t>& cursor = turn_cursor(partition);
+  const std::uint64_t seen = cursor.load(std::memory_order_seq_cst);
+  const bool eligible =
+      grant_policy_ == runtime::GrantPolicyKind::PhaseFair ? ticket < seen
+                                                           : seen == ticket;
+  if (!eligible) word_wait(cursor, seen);
 }
 
 template <class Storage>
@@ -914,6 +930,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // The cursor moved: wake the partition so the newly eligible
           // waiter re-validates instead of sleeping on a stale turn.
           wake_partition(s, partition);
+          if (futex_word_) turn_cursor(partition).notify_all();
           ++stats.handoffs;
           LM_OBS_EVENT(kGrantHandoff, mode);
         }
@@ -956,9 +973,9 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // that would satisfy us (then that release observes W and
           // notifies after clearing it), or it follows it (then `observed`
           // already shows the conflict clear and we retry instead of
-          // sleeping). Eligibility is covered the same way — a handoff
-          // wake clears W, changing the word, so a stale `observed` never
-          // outlives its wakeup.
+          // sleeping). Eligibility is not in the word, so a waiter whose
+          // turn has not come sleeps on the ticket cursor instead
+          // (turn_wait), which a handoff always changes.
           const PackedLayout& layout = s.layout();
           const auto mi = static_cast<std::size_t>(mode);
           SEMLOCK_DCT_POINT("word.announce", &s.word());
@@ -986,7 +1003,14 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
               wait_edge.set_blocker(blocker.owner, blocker.site);
             }
 #endif
-            packed_word_wait(s, observed);
+            // A waiter can be preempted between its decision and its sleep;
+            // the scheduler point lets DCT run other threads in that window.
+            SEMLOCK_DCT_POINT("word.sleep", &s.word());
+            if (turn_ok) {
+              word_wait(s.word(), observed);
+            } else {
+              turn_wait(partition, ticket);
+            }
             ++stats.parks;
             LM_OBS_EVENT(kUnpark, mode);
           }

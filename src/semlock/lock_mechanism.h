@@ -285,9 +285,10 @@ class LockMechanism {
   // visible blocker).
   PackedAttempt packed_try_acquire(PackedStorage& s, int mode, int partition,
                                    AcquireStats& stats, bool doorway);
-  // Sleep on the packed word until it differs from `observed` (futex-word
-  // policy; cooperative under DCT).
-  static void packed_word_wait(PackedStorage& s, std::uint64_t observed);
+  // Sleep until `word` differs from `observed` (futex-word policy: the
+  // packed word or a ticket cursor; cooperative under DCT).
+  static void word_wait(std::atomic<std::uint64_t>& word,
+                        std::uint64_t observed);
 
   // T0: attempt to elide the acquisition entirely as a hardware transaction
   // (util/htm.h). True when the caller is now inside a live transaction
@@ -310,6 +311,16 @@ class LockMechanism {
   // May the holder of `ticket` attempt the arbitrated grant now? Lock-free
   // and monotone (see GrantSlot).
   bool waiter_eligible(int partition, std::uint64_t ticket) const;
+  // Futex-word waiters whose turn has not come sleep on the partition's
+  // ticket cursor (granted, or phase_end under PhaseFair), which only grows,
+  // instead of on the lock word: the turn lives outside the word, so between
+  // the waiter's announce and its sleep a handoff could clear the waiters
+  // bit and a later announcer set it again, returning the word to the exact
+  // value observed (ABA) and swallowing the handoff's wakeup. Returns at
+  // once when the cursor already shows the turn; a handoff notifies the
+  // cursor after moving it.
+  void turn_wait(int partition, std::uint64_t ticket);
+  std::atomic<std::uint64_t>& turn_cursor(int partition);
   // Bookkeeping after a ticketed grant, under the internal lock: advances
   // the cursor, re-arms or drops the barrier, and returns whether the caller
   // must wake the partition so the next eligible waiter re-validates.

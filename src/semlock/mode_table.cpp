@@ -43,10 +43,10 @@ StripeEnvChoice stripes_from_env_text(const char* text) {
 }
 
 StorageKind storage_from_env_text(const char* text) {
-  if (text == nullptr) return StorageKind::Striped;
+  if (text == nullptr) return StorageKind::Flat;
   if (const auto parsed = parse_storage_kind(text)) return *parsed;
-  util::warn_invalid_env("SEMLOCK_STORAGE", text, "striped");
-  return StorageKind::Striped;
+  util::warn_invalid_env("SEMLOCK_STORAGE", text, "flat");
+  return StorageKind::Flat;
 }
 
 bool elision_from_env_text(const char* text) {

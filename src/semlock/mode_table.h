@@ -107,11 +107,12 @@ struct ModeTableConfig {
   bool stripe_self_commuting = default_stripe_self_commuting();
   int counter_stripes = default_counter_stripes();
   // Which counter representation mechanisms built over this table use
-  // (semlock/storage_policy.h): Flat (per-mode atomics), Striped (Flat plus
-  // the striping above — the historical default; whether striping actually
-  // engages is still stripe_self_commuting/counter_stripes), or Packed (the
-  // whole table in one 64-bit word, falling back to Flat when the table has
-  // more than kMaxPackedModes modes). SEMLOCK_STORAGE overrides the default.
+  // (semlock/storage_policy.h): Flat (per-mode atomics, the paper's Fig. 20
+  // layout and the default), Striped (Flat plus the striping above, opt-in
+  // for single-instance reader floods; whether striping actually engages is
+  // still stripe_self_commuting/counter_stripes), or Packed (the whole table
+  // in one 64-bit word, falling back to Flat when the table has more than
+  // kMaxPackedModes modes). SEMLOCK_STORAGE overrides the default.
   StorageKind storage = default_storage();
   // Arm the HTM lock-elision tier above the optimistic path for Packed
   // mechanisms (docs/FAST_PATH.md §8). Requires the SEMLOCK_ELISION build

@@ -6,12 +6,13 @@
 // (ModeTableConfig::storage):
 //
 //   Flat    — one std::atomic<uint32_t> per mode (the paper's Fig. 20
-//             layout), optionally cache-line padded. Byte-identical to the
-//             historical behavior; the baseline every other policy is
-//             A/B-ed against.
+//             layout), optionally cache-line padded. The default, and the
+//             baseline every other policy is A/B-ed against.
 //   Striped — Flat plus PR 3's BRAVO/SNZI-style striped banks for the
-//             self-commuting modes (util/striped_counter.h). Best when many
-//             commuting holders would otherwise ping-pong one counter line.
+//             self-commuting modes (util/striped_counter.h). Opt-in: it
+//             wins only when several threads flood ONE instance with a
+//             commuting mode (docs/FAST_PATH.md §3); everywhere else the
+//             extra stripe sums roughly double the lock-word cost.
 //   Packed  — the whole mode table in ONE 64-bit atomic word: per-mode
 //             holder mini-counters in bit fields, the conflict check
 //             compiled by ModeTable into a single `word & conflict_mask[m]`
@@ -56,16 +57,14 @@ inline std::optional<StorageKind> parse_storage_kind(std::string_view text) {
   return std::nullopt;
 }
 
-// Resolves SEMLOCK_STORAGE text: "flat" | "striped" | "packed"; anything
-// else warns once on stderr and falls back to Striped (the historical
-// default — whether striping actually engages is still governed by the
-// stripe_self_commuting/counter_stripes knobs, so unset stays byte-for-byte
-// compatible). Split out from the cached env lookup for testability;
-// defined in mode_table.cpp beside the other config-default parsers.
+// Resolves SEMLOCK_STORAGE text: "flat" | "striped" | "packed"; unset
+// yields Flat, anything else warns once on stderr and falls back to Flat.
+// Split out from the cached env lookup for testability; defined in
+// mode_table.cpp beside the other config-default parsers.
 StorageKind storage_from_env_text(const char* text);
 
 // Process-wide default storage policy: SEMLOCK_STORAGE (parsed once), else
-// Striped.
+// Flat.
 StorageKind default_storage();
 
 // Resolves SEMLOCK_ELISION text: strict "0"/"1" per util::env_bool_01;

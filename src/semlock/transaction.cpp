@@ -16,26 +16,50 @@ void Transaction::lv_ordered(std::span<DynTarget> targets) {
   for (const auto& t : targets) lv_mode(t.lk, t.mode);
 }
 
-void Transaction::unlock_instance(SemanticLock* lk) {
-  for (auto& e : entries_) {
-    if (e.lk == lk) e.lk->unlock(e.mode);
+void Transaction::grow() {
+  const std::size_t capacity = capacity_ * 2;
+  auto spill = std::make_unique_for_overwrite<Entry[]>(capacity);
+  std::copy(data_, data_ + size_, spill.get());
+  spill_ = std::move(spill);
+  data_ = spill_.get();
+  capacity_ = capacity;
+}
+
+void Transaction::build_index() {
+  if (!index_) {
+    index_ = std::make_unique<std::unordered_set<const SemanticLock*>>();
   }
-  std::erase_if(entries_, [&](const Entry& e) { return e.lk == lk; });
-  if (index_live_) index_.erase(lk);
+  index_->reserve(size_ * 2);
+  for (const Entry& e : entries()) index_->insert(e.lk);
+  index_live_ = true;
+}
+
+void Transaction::unlock_instance(SemanticLock* lk) {
+  std::size_t kept = 0;
+  for (const Entry& e : entries()) {
+    if (e.lk == lk) {
+      e.lk->unlock(e.mode);
+    } else {
+      data_[kept++] = e;
+    }
+  }
+  size_ = kept;
+  if (index_live_) index_->erase(lk);
 }
 
 void Transaction::unlock_all() {
-  for (auto& e : entries_) e.lk->unlock(e.mode);
-  if (!entries_.empty()) {
+  for (const Entry& e : entries()) e.lk->unlock(e.mode);
+  if (size_ != 0) {
     // Epilogue marker: one event per non-empty release, with the number of
     // instances released in the mode field. Emitted after the unlocks so a
     // reader sees release events inside the [begin, unlock_all] span.
-    SEMLOCK_OBS_EVENT(kUnlockAll, nullptr,
-                      static_cast<int>(entries_.size()));
+    SEMLOCK_OBS_EVENT(kUnlockAll, nullptr, static_cast<int>(size_));
   }
-  entries_.clear();
-  index_.clear();
-  index_live_ = false;
+  size_ = 0;
+  if (index_live_) {
+    index_->clear();
+    index_live_ = false;
+  }
 }
 
 }  // namespace semlock

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -22,7 +23,6 @@ namespace semlock {
 class Transaction {
  public:
   Transaction() {
-    entries_.reserve(8);
     // Stamp a process-unique transaction id into the thread's trace state:
     // every event emitted while this (outermost) transaction is open carries
     // it, which is what lets forensics name the holder.
@@ -39,7 +39,7 @@ class Transaction {
     // unlock_all. Recorded before TXN_END so the spans carry this txn's id.
     const std::uint64_t commit_start_ns =
         exec_start_ns_ != 0 ? ::semlock::obs::span_now_ns() : 0;
-    const int released = static_cast<int>(entries_.size());
+    const int released = static_cast<int>(size_);
 #endif
     unlock_all();
 #if defined(SEMLOCK_OBS)
@@ -59,16 +59,14 @@ class Transaction {
           std::span<const commute::Value> values = {}) {
     if (lk == nullptr || holds(lk)) return;
     const int mode = lk->lock_site(site, values);
-    entries_.push_back(Entry{lk, mode});
-    on_entry_added();
+    push(Entry{lk, mode});
   }
 
   // Mode-level LV for callers that resolved the mode themselves.
   void lv_mode(SemanticLock* lk, int mode) {
     if (lk == nullptr || holds(lk)) return;
     lk->lock(mode);
-    entries_.push_back(Entry{lk, mode});
-    on_entry_added();
+    push(Entry{lk, mode});
   }
 
   // LV2/LVn (Fig. 12): lock several same-equivalence-class instances in
@@ -86,8 +84,8 @@ class Transaction {
   // hundreds, turning each atomic section into an O(N^2) scan. Past
   // kInlineHeldScan entries the set is mirrored into a hash index.
   bool holds(const SemanticLock* lk) const {
-    if (index_live_) return index_.count(lk) != 0;
-    for (const auto& e : entries_) {
+    if (index_live_) return index_->count(lk) != 0;
+    for (const Entry& e : entries()) {
       if (e.lk == lk) return true;
     }
     return false;
@@ -100,12 +98,12 @@ class Transaction {
   // The instances/modes currently held (introspection for protocol checks).
   std::vector<HeldEntry> held() const {
     std::vector<HeldEntry> out;
-    out.reserve(entries_.size());
-    for (const auto& e : entries_) out.push_back(HeldEntry{e.lk, e.mode});
+    out.reserve(size_);
+    for (const Entry& e : entries()) out.push_back(HeldEntry{e.lk, e.mode});
     return out;
   }
 
-  std::size_t num_held() const { return entries_.size(); }
+  std::size_t num_held() const { return size_; }
 
   // Early lock release for one instance (Appendix A): unlocks every mode
   // this transaction holds on `lk`. No-op if none are held.
@@ -120,24 +118,42 @@ class Transaction {
     int mode;
   };
 
+  // Held entries stored in the Transaction itself: a section that locks no
+  // more instances than this allocates nothing.
+  static constexpr std::size_t kInlineEntries = 8;
   // Largest held-set size still served by the inline linear scan.
   static constexpr std::size_t kInlineHeldScan = 64;
 
-  void on_entry_added() {
+  std::span<Entry> entries() { return {data_, size_}; }
+  std::span<const Entry> entries() const { return {data_, size_}; }
+
+  void push(Entry e) {
+    if (size_ == capacity_) grow();
+    data_[size_++] = e;
     if (index_live_) {
-      index_.insert(entries_.back().lk);
-    } else if (entries_.size() > kInlineHeldScan) {
-      index_.reserve(entries_.size() * 2);
-      for (const auto& e : entries_) index_.insert(e.lk);
-      index_live_ = true;
+      index_->insert(e.lk);
+    } else if (size_ > kInlineHeldScan) {
+      build_index();
     }
   }
+  // Out of line: only sections past kInlineEntries / kInlineHeldScan
+  // instances reach these.
+  void grow();
+  void build_index();
 
-  std::vector<Entry> entries_;
-  // Hash mirror of entries_' instances; live once the set outgrows the
-  // inline scan, reset by unlock_all (instances, not modes: an instance
-  // appears in entries_ at most once).
-  std::unordered_set<const SemanticLock*> index_;
+  // Entries live in inline_ until the first spill, then in spill_, which
+  // doubles on each growth and is kept across unlock_all for reuse. Only
+  // data_[0, size_) is ever read, so inline_ is left uninitialized rather
+  // than zeroed on every section.
+  Entry inline_[kInlineEntries];
+  std::unique_ptr<Entry[]> spill_;
+  Entry* data_ = inline_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = kInlineEntries;
+  // Hash mirror of the held instances; allocated the first time the set
+  // outgrows the inline scan, live until unlock_all clears it (instances,
+  // not modes: an instance is held by at most one entry).
+  std::unique_ptr<std::unordered_set<const SemanticLock*>> index_;
   bool index_live_ = false;
 #if defined(SEMLOCK_OBS)
   // Span-clock stamp of construction; 0 = span recording was off, so the

@@ -120,7 +120,7 @@ TEST(DctAttribution, CrossKeyWaitsAreNeverBlamedAsTrueConflicts) {
     // Keys always differ across threads, nobody passes a logical instance,
     // and the raw mechanism never notes executed ops: the only possible
     // classes are PHI_COLLISION and (for a stale/missing record on the
-    // shared mode) SELF_MODE.
+    // shared mode) UNSAMPLED.
     EXPECT_EQ(at(counts, AttrClass::kTrueConflict), 0u) << "seed " << seed;
     EXPECT_EQ(at(counts, AttrClass::kWrapperCoarsening), 0u)
         << "seed " << seed;

@@ -176,6 +176,7 @@ dct::Workload make_retract_workload(bool striped) {
   c.abstract_values = 2;
   c.wait_policy = runtime::WaitPolicyKind::AlwaysPark;
   c.optimistic_acquire = true;
+  if (striped) c.storage = StorageKind::Striped;
   c.stripe_self_commuting = striped;
   c.counter_stripes = 4;
   auto state = std::make_shared<State>(c);
@@ -406,6 +407,58 @@ TEST_P(DctStarvationFairPolicy, DroppedBarrierCheckCaughtWithinBudget) {
             << result.failing_seed << ")\n";
   EXPECT_NE(result.oracle_failure.find("starvation"), std::string::npos)
       << result.failure;
+}
+
+// The futex-word policy's ticketed waiters: two writers and two readers on
+// one packed word, optimistic tier off so every arrival queues behind the
+// barrier. A waiter whose turn has not come must sleep on the ticket cursor,
+// not on the word: the handoff that makes it eligible clears the waiters
+// bit, a later announcer sets it again, and the word can return to the very
+// value the waiter observed before it sleeps — a word sleeper would then
+// miss the handoff and the scheduler would report an exact deadlock.
+dct::Workload make_futex_turn_workload(runtime::GrantPolicyKind policy) {
+  struct State {
+    ModeTable table;
+    LockMechanism mech;
+    explicit State(ModeTableConfig c)
+        : table(ModeTable::compile(
+              commute::set_spec(),
+              {SymbolicSet({op("contains", {commute::star()})}),
+               SymbolicSet({op("add", {commute::star()}),
+                            op("remove", {commute::star()})})},
+              c)),
+          mech(table) {}
+  };
+  ModeTableConfig c;
+  c.abstract_values = 2;
+  c.storage = StorageKind::Packed;
+  c.wait_policy = runtime::WaitPolicyKind::FutexWord;
+  c.optimistic_acquire = false;
+  c.grant_policy = policy;
+  c.bypass_bound = kOracleBypassBound;
+  auto state = std::make_shared<State>(c);
+  const int read = state->table.resolve_constant(0);
+  const int write = state->table.resolve_constant(1);
+
+  dct::Workload w;
+  for (const int mode : {write, write, read, read}) {
+    w.threads.push_back([state, mode] {
+      for (int i = 0; i < 2; ++i) {
+        state->mech.lock(mode);
+        state->mech.unlock(mode);
+      }
+    });
+  }
+  return w;
+}
+
+TEST_P(DctStarvationFairPolicy, FutexWordTurnWaitersNeverStrand) {
+  const runtime::GrantPolicyKind policy = GetParam();
+  const dct::ExploreResult result = dct::explore(
+      budget_options(), [policy] { return make_futex_turn_workload(policy); });
+  EXPECT_TRUE(result.ok) << runtime::grant_policy_name(policy) << ": "
+                         << result.to_string();
+  EXPECT_EQ(result.schedules_run, kScheduleBudget);
 }
 
 // --- the packed word's compiled conflict-mask check ------------------------

@@ -327,22 +327,22 @@ TEST(StorageEnv, ParsesEveryRecognizedName) {
     EXPECT_EQ(storage_from_env_text("flat"), StorageKind::Flat);
     EXPECT_EQ(storage_from_env_text("striped"), StorageKind::Striped);
     EXPECT_EQ(storage_from_env_text("packed"), StorageKind::Packed);
-    // Unset is the historical default (striped), silently.
-    EXPECT_EQ(storage_from_env_text(nullptr), StorageKind::Striped);
+    // Unset is the default (flat, the paper's per-mode counters), silently.
+    EXPECT_EQ(storage_from_env_text(nullptr), StorageKind::Flat);
   });
   EXPECT_TRUE(err.empty()) << err;
 }
 
-TEST(StorageEnv, MalformedValuesWarnAndFallBackToStriped) {
+TEST(StorageEnv, MalformedValuesWarnAndFallBackToFlat) {
   for (const char* bad : {"Packed", "word", "packed ", "1", ""}) {
     const std::string err = captured_stderr([bad] {
-      EXPECT_EQ(storage_from_env_text(bad), StorageKind::Striped)
+      EXPECT_EQ(storage_from_env_text(bad), StorageKind::Flat)
           << "value: " << bad;
     });
     EXPECT_NE(err.find("SEMLOCK_STORAGE=\"" + std::string(bad) + "\""),
               std::string::npos)
         << "value: " << bad << "\nstderr: " << err;
-    EXPECT_NE(err.find("striped"), std::string::npos) << err;
+    EXPECT_NE(err.find("flat"), std::string::npos) << err;
   }
 }
 

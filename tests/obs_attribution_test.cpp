@@ -123,15 +123,18 @@ TEST(ClassifyWait, DistinctLogicalInstancesAreWrapperCoarsening) {
             AttrClass::kWrapperCoarsening);
 }
 
-TEST(ClassifyWait, MissingRecordIsSelfModeOnlyForTheSameMode) {
+TEST(ClassifyWait, MissingRecordIsUnsampledWhateverTheModes) {
   const auto t = make_table(4);
   const Value v5[1] = {5};
   const int keyed = t.resolve(0, v5);
   const int konst = t.resolve_constant(1);
   const AttrSnapshot invalid;  // never written / torn / bare-mode caller
-  // Same mode: the conflict is self-evident without any record.
+  // Same mode: equal modes prove nothing without the holder's record (it may
+  // be one not yet published on another core), so no guess is made.
   EXPECT_EQ(obs::classify_wait(t, keyed, snap_keyed(5), keyed, invalid, 0),
-            AttrClass::kSelfMode);
+            AttrClass::kUnsampled);
+  EXPECT_EQ(obs::classify_wait(t, keyed, invalid, keyed, snap_keyed(5), 0),
+            AttrClass::kUnsampled);
   // Different modes: counted honestly as unsampled, not guessed.
   EXPECT_EQ(obs::classify_wait(t, konst, snap_const(), keyed, invalid, 0),
             AttrClass::kUnsampled);

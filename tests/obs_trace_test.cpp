@@ -213,6 +213,66 @@ TEST(ObsTrace, NestedTransactionsShareTheOuterTxnId) {
   EXPECT_EQ(obs::current_txn(), id);
 }
 
+// Ids come from per-thread blocks: across threads that each open more
+// transactions than one block holds, every id is still unique, nonzero and
+// clear of the top bit that marks thread owner ids.
+TEST(ObsTrace, TxnIdsAreUniqueAcrossThreadsAndBlocks) {
+  obs::reset_for_test();
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 3000;  // several id blocks per thread
+  std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  std::atomic<int> nested_mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ids, &nested_mismatches, t] {
+      ids[t].reserve(kTxnsPerThread);
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        Transaction outer;
+        const std::uint64_t id = obs::current_txn();
+        {
+          Transaction inner;
+          if (obs::current_txn() != id) ++nested_mismatches;
+        }
+        ids[t].push_back(id);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(nested_mismatches.load(), 0)
+      << "a nested transaction did not share the outer id";
+  std::vector<std::uint64_t> all;
+  for (const auto& v : ids) all.insert(all.end(), v.begin(), v.end());
+  for (const std::uint64_t id : all) {
+    ASSERT_NE(id, 0u);
+    ASSERT_LT(id, 1ull << 63);
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "duplicate txn id";
+}
+
+TEST(ObsTrace, ResetForTestRestartsTxnNumberingOnTheCallingThread) {
+  obs::reset_for_test();
+  std::uint64_t first = 0;
+  {
+    Transaction txn;
+    first = obs::current_txn();
+  }
+  EXPECT_EQ(first, 1u);
+  // Draw past the first block, then reset: numbering starts over.
+  for (std::uint64_t i = 0; i < obs::detail::kTxnIdBlock + 5; ++i) {
+    Transaction txn;
+  }
+  EXPECT_GT(obs::last_completed_txn(), obs::detail::kTxnIdBlock);
+  obs::reset_for_test();
+  EXPECT_EQ(obs::last_completed_txn(), 0u);
+  {
+    Transaction txn;
+    EXPECT_EQ(obs::current_txn(), 1u);
+  }
+}
+
 TEST(ObsTrace, ConflictMatrixContainsExactlyExercisedNonCommutingPairs) {
   obs::reset_for_test();
   const auto t = make_traced_table();

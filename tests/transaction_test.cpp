@@ -171,6 +171,101 @@ TEST(TransactionTest, HoldsScalesPastInlineThreshold) {
   txn.unlock_all();
 }
 
+// A section's first eight entries live inside the Transaction; the ninth
+// spills them to the heap. Membership, early release and the epilogue must
+// not notice the move, and the object stays reusable afterwards.
+TEST(TransactionTest, SpillPastInlineEntriesKeepsTheHeldSet) {
+  const auto t = make_table();
+  const int mode = t.resolve_constant(0);
+  constexpr int kInstances = 9;
+  std::vector<std::unique_ptr<SemanticLock>> locks;
+  for (int i = 0; i < kInstances; ++i) {
+    locks.push_back(std::make_unique<SemanticLock>(t));
+  }
+
+  Transaction txn;
+  for (int round = 0; round < 2; ++round) {
+    for (auto& lk : locks) txn.lv_mode(lk.get(), mode);
+    ASSERT_EQ(txn.num_held(), static_cast<std::size_t>(kInstances));
+    for (auto& lk : locks) {
+      EXPECT_TRUE(txn.holds(lk.get()));
+      EXPECT_EQ(lk->holders(mode), 1u);
+    }
+    txn.lv_mode(locks[8].get(), mode);  // no re-lock past the spill
+    EXPECT_EQ(locks[8]->holders(mode), 1u);
+
+    // Early release of an inline-era entry and of the spilled one.
+    txn.unlock_instance(locks[0].get());
+    txn.unlock_instance(locks[8].get());
+    EXPECT_EQ(txn.num_held(), static_cast<std::size_t>(kInstances - 2));
+    EXPECT_FALSE(txn.holds(locks[0].get()));
+    EXPECT_FALSE(txn.holds(locks[8].get()));
+    EXPECT_EQ(locks[0]->holders(mode), 0u);
+    EXPECT_EQ(locks[8]->holders(mode), 0u);
+    for (int i = 1; i < 8; ++i) EXPECT_TRUE(txn.holds(locks[i].get()));
+
+    const auto held = txn.held();
+    ASSERT_EQ(held.size(), static_cast<std::size_t>(kInstances - 2));
+    for (int i = 1; i < 8; ++i) EXPECT_EQ(held[i - 1].lk, locks[i].get());
+
+    txn.unlock_all();
+    EXPECT_EQ(txn.num_held(), 0u);
+    for (auto& lk : locks) {
+      EXPECT_FALSE(txn.holds(lk.get()));
+      EXPECT_EQ(lk->holders(mode), 0u);
+    }
+  }
+}
+
+// 65 instances cross kInlineHeldScan, so holds() moves to the hash index;
+// a second, smaller section on the same object must go back to the scan
+// with no stale index entries.
+TEST(TransactionTest, HashIndexAcrossTheScanBoundaryAndReuse) {
+  const auto t = make_table();
+  const int mode = t.resolve_constant(0);
+  constexpr int kInstances = 65;
+  std::vector<std::unique_ptr<SemanticLock>> locks;
+  for (int i = 0; i < kInstances; ++i) {
+    locks.push_back(std::make_unique<SemanticLock>(t));
+  }
+
+  Transaction txn;
+  for (int i = 0; i < kInstances - 1; ++i) txn.lv_mode(locks[i].get(), mode);
+  EXPECT_FALSE(txn.holds(locks[kInstances - 1].get()));
+  txn.lv_mode(locks[kInstances - 1].get(), mode);  // builds the index
+  ASSERT_EQ(txn.num_held(), static_cast<std::size_t>(kInstances));
+  for (auto& lk : locks) EXPECT_TRUE(txn.holds(lk.get()));
+
+  txn.unlock_instance(locks[64].get());
+  txn.unlock_instance(locks[3].get());
+  EXPECT_FALSE(txn.holds(locks[64].get()));
+  EXPECT_FALSE(txn.holds(locks[3].get()));
+  EXPECT_TRUE(txn.holds(locks[63].get()));
+  EXPECT_EQ(locks[64]->holders(mode), 0u);
+  EXPECT_EQ(locks[3]->holders(mode), 0u);
+  txn.lv_mode(locks[3].get(), mode);
+  EXPECT_TRUE(txn.holds(locks[3].get()));
+  EXPECT_EQ(locks[3]->holders(mode), 1u);
+
+  txn.unlock_all();
+  EXPECT_EQ(txn.num_held(), 0u);
+  for (auto& lk : locks) {
+    EXPECT_FALSE(txn.holds(lk.get()));
+    EXPECT_EQ(lk->holders(mode), 0u);
+  }
+
+  // Reuse: a small section (inline scan) and then a large one again.
+  txn.lv_mode(locks[10].get(), mode);
+  EXPECT_TRUE(txn.holds(locks[10].get()));
+  EXPECT_FALSE(txn.holds(locks[11].get()));
+  txn.unlock_all();
+  for (auto& lk : locks) txn.lv_mode(lk.get(), mode);
+  EXPECT_EQ(txn.num_held(), static_cast<std::size_t>(kInstances));
+  for (auto& lk : locks) EXPECT_EQ(lk->holders(mode), 1u);
+  txn.unlock_all();
+  for (auto& lk : locks) EXPECT_EQ(lk->holders(mode), 0u);
+}
+
 TEST(TransactionTest, HeldExposesEntries) {
   const auto t = make_table();
   SemanticLock a(t);
