@@ -39,19 +39,9 @@ inline constexpr std::size_t kNumEventTypes = 15;
 // Stable names for reports and the Chrome exporter.
 const char* event_name(EventType type) noexcept;
 
-struct Event {
-  std::uint64_t ts_ns = 0;     // steady-clock nanoseconds
-  std::uint64_t instance = 0;  // LockMechanism address; 0 = process-level
-  std::uint64_t txn = 0;       // transaction id; 0 = outside any transaction
-  EventType type = EventType::kNone;
-  std::int32_t mode = -1;      // locking mode (or event-specific payload)
-};
-
 // Packing for the ring's word array and the binary dump. The (type, mode)
 // pair shares word 3: type in the high half, mode (as its unsigned bit
 // pattern) in the low half.
-inline constexpr std::size_t kEventWords = 4;
-
 inline std::uint64_t pack_type_mode(EventType type, std::int32_t mode) noexcept {
   return (static_cast<std::uint64_t>(type) << 32) |
          static_cast<std::uint32_t>(mode);
@@ -64,5 +54,34 @@ inline EventType unpack_type(std::uint64_t word) noexcept {
 inline std::int32_t unpack_mode(std::uint64_t word) noexcept {
   return static_cast<std::int32_t>(static_cast<std::uint32_t>(word));
 }
+
+struct Event {
+  std::uint64_t ts_ns = 0;     // steady-clock nanoseconds
+  std::uint64_t instance = 0;  // LockMechanism address; 0 = process-level
+  std::uint64_t txn = 0;       // transaction id; 0 = outside any transaction
+  EventType type = EventType::kNone;
+  std::int32_t mode = -1;      // locking mode (or event-specific payload)
+
+  // Fixed width for the ring and the dump:
+  //   w0 ts_ns, w1 instance, w2 txn, w3 type<<32 | mode32
+  static constexpr std::size_t kWords = 4;
+
+  void encode(std::uint64_t* w) const noexcept {
+    w[0] = ts_ns;
+    w[1] = instance;
+    w[2] = txn;
+    w[3] = pack_type_mode(type, mode);
+  }
+
+  static Event decode(const std::uint64_t* w) noexcept {
+    Event e;
+    e.ts_ns = w[0];
+    e.instance = w[1];
+    e.txn = w[2];
+    e.type = unpack_type(w[3]);
+    e.mode = unpack_mode(w[3]);
+    return e;
+  }
+};
 
 }  // namespace semlock::obs

@@ -41,6 +41,13 @@ struct Writer {
   void bytes(const void* p, std::size_t n) {
     if (ok && n > 0) ok = std::fwrite(p, 1, n, f) == n;
   }
+  // One ring record (Event or Span) in its ring word layout.
+  template <class Record>
+  void record(const Record& rec) {
+    std::uint64_t w[Record::kWords];
+    rec.encode(w);
+    bytes(w, sizeof(w));
+  }
 };
 
 struct Reader {
@@ -64,6 +71,12 @@ struct Reader {
   }
   void bytes(void* p, std::size_t n) {
     if (ok && n > 0) ok = std::fread(p, 1, n, f) == n;
+  }
+  template <class Record>
+  Record record() {
+    std::uint64_t w[Record::kWords] = {};
+    bytes(w, sizeof(w));
+    return Record::decode(w);
   }
 };
 
@@ -225,30 +238,15 @@ bool write_dump_file(const TraceDump& dump, const std::string& path,
     w.u32(t.tid);
     w.u32(t.live ? 1 : 0);
     w.u64(t.events.size());
-    for (const Event& e : t.events) {
-      w.u64(e.ts_ns);
-      w.u64(e.instance);
-      w.u64(e.txn);
-      w.u64(pack_type_mode(e.type, e.mode));
-    }
+    for (const Event& e : t.events) w.record(e);
   }
-  // v5: span sections, same per-thread shape with kSpanWords-wide records.
+  // v5: span sections, same per-thread shape with Span::kWords-wide records.
   w.u32(static_cast<std::uint32_t>(dump.spans.size()));
   for (const ThreadSpans& t : dump.spans) {
     w.u32(t.tid);
     w.u32(t.live ? 1 : 0);
     w.u64(t.spans.size());
-    for (const Span& s : t.spans) {
-      w.u64(s.start_ns);
-      w.u64(s.end_ns);
-      w.u64(s.txn);
-      w.u64(s.instance);
-      w.u64(span_pack_meta(s));
-      w.u64(s.blocker);
-      w.u64((static_cast<std::uint64_t>(s.tid) << 32) |
-            static_cast<std::uint32_t>(s.blocker_site));
-      w.u64(s.capture_ns);
-    }
+    for (const Span& s : t.spans) w.record(s);
   }
   const bool ok = w.ok && std::fclose(f) == 0;
   if (!ok && error != nullptr) *error = "short write to " + path;
@@ -297,14 +295,7 @@ bool load_dump_file(const std::string& path, TraceDump& out,
       return false;
     }
     t.events.resize(static_cast<std::size_t>(count));
-    for (Event& e : t.events) {
-      e.ts_ns = r.u64();
-      e.instance = r.u64();
-      e.txn = r.u64();
-      const std::uint64_t tm = r.u64();
-      e.type = unpack_type(tm);
-      e.mode = unpack_mode(tm);
-    }
+    for (Event& e : t.events) e = r.record<Event>();
   }
   if (version >= 5) {
     const std::uint32_t span_threads = r.u32();
@@ -322,19 +313,7 @@ bool load_dump_file(const std::string& path, TraceDump& out,
         return false;
       }
       t.spans.resize(static_cast<std::size_t>(count));
-      for (Span& s : t.spans) {
-        s.start_ns = r.u64();
-        s.end_ns = r.u64();
-        s.txn = r.u64();
-        s.instance = r.u64();
-        span_unpack_meta(r.u64(), s);
-        s.blocker = r.u64();
-        const std::uint64_t w6 = r.u64();
-        s.tid = static_cast<std::uint32_t>(w6 >> 32);
-        s.blocker_site =
-            static_cast<std::int32_t>(static_cast<std::uint32_t>(w6));
-        s.capture_ns = r.u64();
-      }
+      for (Span& s : t.spans) s = r.record<Span>();
     }
   }
   if (!r.ok && error != nullptr) *error = path + ": truncated dump";

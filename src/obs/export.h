@@ -15,10 +15,10 @@
 //   counts, top holds — at the end of the section, so the loader still
 //   accepts v3 dumps and reads them with empty hold data)
 //   per thread: u32 tid, u32 live, u64 event count,
-//               count * kEventWords u64 words (oldest event first)
+//               count * Event::kWords u64 words (oldest event first)
 //   v5 appends the span sections (obs/span.h) after the last thread:
 //   u32 span-thread count, then per thread: u32 tid, u32 live,
-//   u64 span count, count * kSpanWords u64 words (oldest span first).
+//   u64 span count, count * Span::kWords u64 words (oldest span first).
 //   Older dumps (v3/v4) load with empty spans.
 #pragma once
 

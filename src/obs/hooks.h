@@ -16,6 +16,7 @@
 
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "runtime/wait_registry.h"
 
 // Process-level event (no owning LockMechanism): transaction epilogues,
 // harness pass marks. `type` is an EventType enumerator name.
@@ -38,7 +39,7 @@
 // disabled cost at two relaxed loads and a branch.
 #define SEMLOCK_OBS_SPAN_CLOCK()                                       \
   (::semlock::obs::runtime_enabled() && ::semlock::obs::spans_enabled() \
-       ? ::semlock::obs::span_now_ns()                                 \
+       ? ::semlock::runtime::steady_now_ns()                            \
        : 0)
 
 #else  // !SEMLOCK_OBS

@@ -1,25 +1,15 @@
-// Per-thread span rings and the registry they retire into. Structure is a
-// deliberate mirror of trace.cpp (see the synchronization summary there):
-// single-writer relaxed-atomic rings with a release-published head, a leaky
-// process-wide registry guarded by a util::Spinlock, and merge-on-exit so
-// dumps include threads that are already gone. Span state is kept separate
-// from the event ThreadState so the event hot path (emit()) never grows a
-// branch for spans, and so SEMLOCK_SPANS=0 leaves event tracing untouched.
+// Span gating knobs and the span builders. The per-thread span ring and
+// its retirement live beside the event ring in trace.cpp (record_span,
+// snapshot_spans), so one registry serves both.
 
 #include "obs/span.h"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
-#include <chrono>
 #include <cstdlib>
-#include <deque>
-#include <memory>
-#include <mutex>
 
+#include "obs/ring.h"
 #include "obs/trace.h"
 #include "util/env.h"
-#include "util/spinlock.h"
 
 namespace semlock::obs {
 
@@ -27,190 +17,6 @@ namespace {
 
 std::atomic<bool> g_spans_enabled{true};
 std::atomic<std::uint32_t> g_span_ring_capacity{kDefaultSpanRingCapacity};
-
-// Same clock (and therefore the same epoch) as trace.cpp's event stamps, so
-// spans and events from one run line up on a single timeline.
-std::uint64_t steady_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// EventRing's scheme (ring.h) over kSpanWords-wide slots: one writer, any
-// reader, overwrite-oldest, torn slots dropped via the double head read.
-class SpanRing {
- public:
-  static constexpr std::uint32_t kMinCapacity = 64;
-
-  explicit SpanRing(std::uint32_t min_capacity)
-      : capacity_(std::bit_ceil(
-            min_capacity < kMinCapacity ? kMinCapacity : min_capacity)),
-        mask_(capacity_ - 1),
-        words_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
-            capacity_) * kSpanWords]()) {}
-
-  SpanRing(const SpanRing&) = delete;
-  SpanRing& operator=(const SpanRing&) = delete;
-
-  void append(const Span& s) noexcept {
-    const std::uint64_t index = head_.load(std::memory_order_relaxed);
-    std::atomic<std::uint64_t>* slot =
-        words_.get() + static_cast<std::size_t>(index & mask_) * kSpanWords;
-    slot[0].store(s.start_ns, std::memory_order_relaxed);
-    slot[1].store(s.end_ns, std::memory_order_relaxed);
-    slot[2].store(s.txn, std::memory_order_relaxed);
-    slot[3].store(s.instance, std::memory_order_relaxed);
-    slot[4].store(span_pack_meta(s), std::memory_order_relaxed);
-    slot[5].store(s.blocker, std::memory_order_relaxed);
-    slot[6].store((static_cast<std::uint64_t>(s.tid) << 32) |
-                      static_cast<std::uint32_t>(s.blocker_site),
-                  std::memory_order_relaxed);
-    slot[7].store(s.capture_ns, std::memory_order_relaxed);
-    head_.store(index + 1, std::memory_order_release);
-  }
-
-  std::vector<Span> snapshot() const {
-    const std::uint64_t end = head_.load(std::memory_order_acquire);
-    const std::uint64_t begin = end > capacity_ ? end - capacity_ : 0;
-    std::vector<Span> out;
-    out.reserve(static_cast<std::size_t>(end - begin));
-    for (std::uint64_t i = begin; i < end; ++i) {
-      const std::atomic<std::uint64_t>* slot =
-          words_.get() + static_cast<std::size_t>(i & mask_) * kSpanWords;
-      Span s;
-      s.start_ns = slot[0].load(std::memory_order_relaxed);
-      s.end_ns = slot[1].load(std::memory_order_relaxed);
-      s.txn = slot[2].load(std::memory_order_relaxed);
-      s.instance = slot[3].load(std::memory_order_relaxed);
-      span_unpack_meta(slot[4].load(std::memory_order_relaxed), s);
-      s.blocker = slot[5].load(std::memory_order_relaxed);
-      const std::uint64_t w6 = slot[6].load(std::memory_order_relaxed);
-      s.tid = static_cast<std::uint32_t>(w6 >> 32);
-      s.blocker_site =
-          static_cast<std::int32_t>(static_cast<std::uint32_t>(w6));
-      s.capture_ns = slot[7].load(std::memory_order_relaxed);
-      out.push_back(s);
-    }
-    const std::uint64_t head2 = head_.load(std::memory_order_acquire);
-    const std::uint64_t safe_begin =
-        head2 >= capacity_ ? head2 - capacity_ + 1 : 0;
-    if (safe_begin > begin) {
-      const std::uint64_t drop = safe_begin - begin;
-      out.erase(out.begin(),
-                out.begin() + static_cast<std::ptrdiff_t>(
-                                  drop < out.size() ? drop : out.size()));
-    }
-    return out;
-  }
-
- private:
-  std::uint32_t capacity_;
-  std::uint32_t mask_;
-  std::atomic<std::uint64_t> head_{0};
-  std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
-};
-
-struct SpanThreadState {
-  std::uint32_t tid = 0;  // obs::thread_obs_tid(), shared with events
-  std::atomic<SpanRing*> ring{nullptr};
-
-  ~SpanThreadState() { delete ring.load(std::memory_order_relaxed); }
-};
-
-struct RetiredSpans {
-  std::uint32_t tid = 0;
-  std::vector<Span> spans;
-};
-
-class SpanRegistry {
- public:
-  static SpanRegistry& instance() {
-    static SpanRegistry* r = new SpanRegistry;  // leaky, like trace.cpp
-    return *r;
-  }
-
-  void register_thread(SpanThreadState* ts) {
-    std::lock_guard<util::Spinlock> g(lock_);
-    live_.push_back(ts);
-  }
-
-  void retire_thread(SpanThreadState* ts) {
-    std::vector<Span> spans;
-    if (SpanRing* ring = ts->ring.load(std::memory_order_acquire)) {
-      spans = ring->snapshot();
-    }
-    std::lock_guard<util::Spinlock> g(lock_);
-    live_.erase(std::remove(live_.begin(), live_.end(), ts), live_.end());
-    if (!spans.empty()) {
-      retired_span_count_ += spans.size();
-      retired_.push_back(RetiredSpans{ts->tid, std::move(spans)});
-      while (retired_span_count_ > kMaxRetiredSpans && !retired_.empty()) {
-        retired_span_count_ -= retired_.front().spans.size();
-        retired_.pop_front();
-      }
-    }
-  }
-
-  std::vector<ThreadSpans> snapshot() {
-    std::lock_guard<util::Spinlock> g(lock_);
-    std::vector<ThreadSpans> out;
-    out.reserve(retired_.size() + live_.size());
-    for (const RetiredSpans& r : retired_) {
-      out.push_back(ThreadSpans{r.tid, false, r.spans});
-    }
-    for (SpanThreadState* ts : live_) {
-      ThreadSpans t;
-      t.tid = ts->tid;
-      t.live = true;
-      if (const SpanRing* ring = ts->ring.load(std::memory_order_acquire)) {
-        t.spans = ring->snapshot();
-      }
-      out.push_back(std::move(t));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const ThreadSpans& a, const ThreadSpans& b) {
-                return a.tid != b.tid ? a.tid < b.tid : a.live < b.live;
-              });
-    return out;
-  }
-
-  void reset(SpanThreadState* self) {
-    std::lock_guard<util::Spinlock> g(lock_);
-    retired_.clear();
-    retired_span_count_ = 0;
-    if (self != nullptr) {
-      if (SpanRing* ring = self->ring.load(std::memory_order_relaxed)) {
-        self->ring.store(nullptr, std::memory_order_release);
-        delete ring;
-      }
-    }
-  }
-
- private:
-  SpanRegistry() = default;
-
-  static constexpr std::size_t kMaxRetiredSpans = 1u << 16;  // 65536 spans
-
-  util::Spinlock lock_;
-  std::vector<SpanThreadState*> live_;
-  std::deque<RetiredSpans> retired_;
-  std::size_t retired_span_count_ = 0;
-};
-
-struct SpanTlsHandle {
-  SpanThreadState state;
-  SpanTlsHandle() {
-    state.tid = thread_obs_tid();
-    SpanRegistry::instance().register_thread(&state);
-  }
-  ~SpanTlsHandle() { SpanRegistry::instance().retire_thread(&state); }
-};
-
-SpanThreadState& span_thread_state() {
-  thread_local SpanTlsHandle handle;
-  return handle.state;
-}
 
 // Reads SEMLOCK_SPANS once at startup (same static-init slot discipline as
 // trace.cpp's TraceRuntimeInit; ordering between the two does not matter
@@ -257,24 +63,10 @@ std::uint32_t span_ring_capacity() noexcept {
 }
 
 void set_span_ring_capacity(std::uint32_t spans) noexcept {
-  g_span_ring_capacity.store(spans < SpanRing::kMinCapacity
-                                 ? SpanRing::kMinCapacity
+  g_span_ring_capacity.store(spans < Ring<Span>::kMinCapacity
+                                 ? Ring<Span>::kMinCapacity
                                  : spans,
                              std::memory_order_relaxed);
-}
-
-std::uint64_t span_now_ns() noexcept { return steady_ns(); }
-
-void record_span(const Span& s) {
-  SpanThreadState& ts = span_thread_state();
-  SpanRing* ring = ts.ring.load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring = new SpanRing(span_ring_capacity());
-    ts.ring.store(ring, std::memory_order_release);
-  }
-  Span stamped = s;
-  stamped.tid = ts.tid;
-  ring->append(stamped);
 }
 
 void record_lock_wait_span(const void* instance, int mode,
@@ -326,20 +118,12 @@ void record_queue_wait_span(std::uint64_t txn, std::uint64_t arrival_ns,
   record_span(s);
 }
 
-std::vector<ThreadSpans> snapshot_spans() {
-  return SpanRegistry::instance().snapshot();
-}
-
 std::string format_owner(std::uint64_t owner) {
   if (owner == 0) return "?";
   if ((owner & 0x8000000000000000ull) != 0) {
     return "thread " + std::to_string(owner & 0x7FFFFFFFFFFFFFFFull);
   }
   return "txn " + std::to_string(owner);
-}
-
-void reset_spans_for_test() {
-  SpanRegistry::instance().reset(&span_thread_state());
 }
 
 }  // namespace semlock::obs

@@ -10,12 +10,11 @@
 // the spans of one dump form the blocked-by graph the critical-path
 // analyzer (obs/critical_path.h) walks to explain tail latency.
 //
-// Recording mirrors trace.cpp exactly: per-thread lock-free SPSC rings with
-// overwrite-oldest semantics, registered in a process-wide leaky registry
+// Recording uses the event layer's own machinery: each thread's span ring
+// is the same obs::Ring as its event ring (8-word records instead of 4),
+// held in the same per-thread trace state, registered in the same registry
 // and retired into it at thread exit, so dumps include threads that are
-// already gone. Span threads share the event layer's tid space
-// (obs::thread_obs_tid()) so a dump's span sections line up with its event
-// sections.
+// already gone. A span's tid is therefore the tid of its thread's events.
 //
 // Gating is the same three-level scheme as events, with one extra knob:
 //   - compiled out entirely under -DSEMLOCK_OBS=OFF (this header is only
@@ -67,13 +66,16 @@ struct Span {
   // When the blocker identity was sampled (the last pre-park refresh) —
   // what the offline event-stream reconstruction replays against.
   std::uint64_t capture_ns = 0;
-};
 
-// Fixed width for the ring and the dump: 8 words per span.
-//   w0 start_ns, w1 end_ns, w2 txn, w3 instance,
-//   w4 kind<<48 | mode16<<32 | blocker_mode16<<16 | attr_class16,
-//   w5 blocker, w6 tid<<32 | blocker_site32, w7 capture_ns
-inline constexpr std::size_t kSpanWords = 8;
+  // Fixed width for the ring and the dump:
+  //   w0 start_ns, w1 end_ns, w2 txn, w3 instance,
+  //   w4 kind<<48 | mode16<<32 | blocker_mode16<<16 | attr_class16,
+  //   w5 blocker, w6 tid<<32 | blocker_site32, w7 capture_ns
+  static constexpr std::size_t kWords = 8;
+
+  void encode(std::uint64_t* w) const noexcept;
+  static Span decode(const std::uint64_t* w) noexcept;
+};
 
 inline std::uint64_t span_pack_meta(const Span& s) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.kind) &
@@ -95,6 +97,32 @@ inline void span_unpack_meta(std::uint64_t w, Span& s) noexcept {
   s.attr_class = static_cast<std::uint16_t>(w);
 }
 
+inline void Span::encode(std::uint64_t* w) const noexcept {
+  w[0] = start_ns;
+  w[1] = end_ns;
+  w[2] = txn;
+  w[3] = instance;
+  w[4] = span_pack_meta(*this);
+  w[5] = blocker;
+  w[6] = (static_cast<std::uint64_t>(tid) << 32) |
+         static_cast<std::uint32_t>(blocker_site);
+  w[7] = capture_ns;
+}
+
+inline Span Span::decode(const std::uint64_t* w) noexcept {
+  Span s;
+  s.start_ns = w[0];
+  s.end_ns = w[1];
+  s.txn = w[2];
+  s.instance = w[3];
+  span_unpack_meta(w[4], s);
+  s.blocker = w[5];
+  s.tid = static_cast<std::uint32_t>(w[6] >> 32);
+  s.blocker_site = static_cast<std::int32_t>(static_cast<std::uint32_t>(w[6]));
+  s.capture_ns = w[7];
+  return s;
+}
+
 // --- runtime gate and knobs -------------------------------------------------
 
 // SEMLOCK_SPANS=0|1 (default 1): the span recorder's own switch on top of
@@ -114,9 +142,8 @@ std::uint32_t span_ring_capacity() noexcept;
 void set_span_ring_capacity(std::uint32_t spans) noexcept;
 
 // --- recording --------------------------------------------------------------
-
-// Steady-clock now, same epoch as event timestamps.
-std::uint64_t span_now_ns() noexcept;
+// Span timestamps come from runtime::steady_now_ns(), the clock of the
+// event stamps, so spans and events from one run share one timeline.
 
 // Appends to the calling thread's span ring (creating it on first use).
 // Callers gate; this function does not re-check spans_enabled().
@@ -166,8 +193,5 @@ std::vector<ThreadSpans> snapshot_spans();
 // "txn 12" / "thread 3" / "?" — shared rendering of the owner-id space
 // (top bit set = thread sentinel) for chains, reports, and the wait graph.
 std::string format_owner(std::uint64_t owner);
-
-// Test hook: drops retired span data and the calling thread's own ring.
-void reset_spans_for_test();
 
 }  // namespace semlock::obs

@@ -12,7 +12,8 @@
 //     fast path; it is folded only at retirement (merge-on-exit) or read
 //     from the calling thread itself, so totals are exact once worker
 //     threads have joined and no fast-path write is ever contended;
-//   - event rings are SPSC with lock-free concurrent snapshot (ring.h).
+//   - event and span rings are SPSC with lock-free concurrent snapshot
+//     (ring.h); both hang off the same ThreadState and retire together.
 //
 // The registry itself is a leaky heap singleton: thread exit order versus
 // static destruction order is unknowable across toolchains, and a retiring
@@ -22,7 +23,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -38,6 +38,7 @@
 #include "obs/metrics.h"
 #include "obs/ring.h"
 #include "obs/span.h"
+#include "runtime/wait_registry.h"
 #include "util/env.h"
 #include "util/spinlock.h"
 
@@ -79,13 +80,6 @@ void refill_txn_block(TxnTls& tls) noexcept {
 namespace {
 
 std::atomic<std::uint32_t> g_ring_capacity{kDefaultRingEvents};
-
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // (waiter_mode, holder_mode) packed for the per-thread blocked-by map.
 std::uint64_t pack_pair(std::int32_t waiter, std::int32_t holder) noexcept {
@@ -163,6 +157,10 @@ struct ThreadState {
   // Created lazily on the first emitted event; published with release so
   // concurrent snapshotters see fully constructed storage.
   std::atomic<EventRing*> ring{nullptr};
+  // The span recorder's ring (obs/span.h), created lazily by record_span()
+  // and published the same way. Kept apart from `ring` so emit() never
+  // branches on spans and SEMLOCK_SPANS=0 leaves events untouched.
+  std::atomic<Ring<Span>*> span_ring{nullptr};
   AcquireStats stats;  // fast-path counters; owner-written, folded on retire
   mutable util::Spinlock metrics_lock;
   MetricsAccum metrics;
@@ -174,12 +172,10 @@ struct ThreadState {
   std::vector<OpenHold> open_holds;
   std::int32_t pending_site = -1;  // stashed by note_lock_site()
 
-  ~ThreadState() { delete ring.load(std::memory_order_relaxed); }
-};
-
-struct RetiredEvents {
-  std::uint32_t tid = 0;
-  std::vector<Event> events;
+  ~ThreadState() {
+    delete ring.load(std::memory_order_relaxed);
+    delete span_ring.load(std::memory_order_relaxed);
+  }
 };
 
 class Registry {
@@ -196,11 +192,15 @@ class Registry {
   }
 
   void retire_thread(ThreadState* ts) {
-    // Snapshot the ring outside the registry lock: the owner is retiring,
-    // so the ring is quiescent and this is a plain read.
+    // Snapshot the rings outside the registry lock: the owner is retiring,
+    // so they are quiescent and this is a plain read.
     std::vector<Event> events;
     if (EventRing* ring = ts->ring.load(std::memory_order_acquire)) {
       events = ring->snapshot();
+    }
+    std::vector<Span> spans;
+    if (Ring<Span>* ring = ts->span_ring.load(std::memory_order_acquire)) {
+      spans = ring->snapshot();
     }
     std::lock_guard<util::Spinlock> g(lock_);
     live_.erase(std::remove(live_.begin(), live_.end(), ts), live_.end());
@@ -212,7 +212,7 @@ class Registry {
     }
     if (!events.empty()) {
       retired_event_count_ += events.size();
-      retired_.push_back(RetiredEvents{ts->tid, std::move(events)});
+      retired_.push_back(ThreadTrace{ts->tid, false, std::move(events)});
       // Cap retained post-mortem data; evict whole oldest-retired threads
       // first (their events are the least likely to matter in a dump).
       while (retired_event_count_ > kMaxRetiredEvents && retired_.size() > 1) {
@@ -220,15 +220,21 @@ class Registry {
         retired_.pop_front();
       }
     }
+    if (!spans.empty()) {
+      retired_span_count_ += spans.size();
+      retired_spans_.push_back(ThreadSpans{ts->tid, false, std::move(spans)});
+      while (retired_span_count_ > kMaxRetiredSpans &&
+             !retired_spans_.empty()) {
+        retired_span_count_ -= retired_spans_.front().spans.size();
+        retired_spans_.pop_front();
+      }
+    }
   }
 
   std::vector<ThreadTrace> snapshot_traces() {
     std::lock_guard<util::Spinlock> g(lock_);
-    std::vector<ThreadTrace> out;
+    std::vector<ThreadTrace> out(retired_.begin(), retired_.end());
     out.reserve(retired_.size() + live_.size());
-    for (const RetiredEvents& r : retired_) {
-      out.push_back(ThreadTrace{r.tid, false, r.events});
-    }
     for (ThreadState* ts : live_) {
       ThreadTrace t;
       t.tid = ts->tid;
@@ -241,6 +247,22 @@ class Registry {
     std::sort(out.begin(), out.end(),
               [](const ThreadTrace& a, const ThreadTrace& b) {
                 return a.tid < b.tid;
+              });
+    return out;
+  }
+
+  std::vector<ThreadSpans> snapshot_spans() {
+    std::lock_guard<util::Spinlock> g(lock_);
+    std::vector<ThreadSpans> out(retired_spans_.begin(), retired_spans_.end());
+    out.reserve(retired_spans_.size() + live_.size());
+    for (ThreadState* ts : live_) {
+      const Ring<Span>* ring = ts->span_ring.load(std::memory_order_acquire);
+      if (ring == nullptr) continue;  // this thread never recorded a span
+      out.push_back(ThreadSpans{ts->tid, true, ring->snapshot()});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const ThreadSpans& a, const ThreadSpans& b) {
+                return a.tid != b.tid ? a.tid < b.tid : a.live < b.live;
               });
     return out;
   }
@@ -346,11 +368,14 @@ class Registry {
     std::lock_guard<util::Spinlock> g(lock_);
     retired_.clear();
     retired_event_count_ = 0;
+    retired_spans_.clear();
+    retired_span_count_ = 0;
     retired_stats_ = AcquireStats{};
     retired_metrics_ = MetricsAccum{};
     for (std::uint64_t& c : retired_event_counts_) c = 0;
     if (self != nullptr) {
       delete self->ring.exchange(nullptr, std::memory_order_acq_rel);
+      delete self->span_ring.exchange(nullptr, std::memory_order_acq_rel);
       self->stats = AcquireStats{};
       for (std::atomic<std::uint64_t>& c : self->event_counts) {
         c.store(0, std::memory_order_relaxed);
@@ -376,12 +401,15 @@ class Registry {
   Registry() = default;
 
   static constexpr std::size_t kMaxRetiredEvents = 1u << 18;  // 262144 events
+  static constexpr std::size_t kMaxRetiredSpans = 1u << 16;   // 65536 spans
 
   util::Spinlock lock_;
   std::uint32_t next_tid_ = 1;
   std::vector<ThreadState*> live_;
-  std::deque<RetiredEvents> retired_;
+  std::deque<ThreadTrace> retired_;
   std::size_t retired_event_count_ = 0;
+  std::deque<ThreadSpans> retired_spans_;
+  std::size_t retired_span_count_ = 0;
   AcquireStats retired_stats_;
   MetricsAccum retired_metrics_;
   std::uint64_t retired_event_counts_[kNumEventTypes] = {};
@@ -539,7 +567,7 @@ void emit(EventType type, const void* instance, int mode) {
     ts.ring.store(ring, std::memory_order_release);
   }
   Event e;
-  e.ts_ns = now_ns();
+  e.ts_ns = runtime::steady_now_ns();
   e.instance = reinterpret_cast<std::uint64_t>(instance);
   e.txn = current_txn();
   e.type = type;
@@ -589,6 +617,18 @@ std::uint64_t current_owner_id() noexcept {
 
 std::uint32_t thread_obs_tid() { return thread_state().tid; }
 
+void record_span(const Span& s) {
+  ThreadState& ts = thread_state();
+  Ring<Span>* ring = ts.span_ring.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new Ring<Span>(span_ring_capacity());
+    ts.span_ring.store(ring, std::memory_order_release);
+  }
+  Span stamped = s;
+  stamped.tid = ts.tid;
+  ring->append(stamped);
+}
+
 void record_blocked_by(const void* instance, int waiter_mode,
                        int holder_mode) {
   ThreadState& ts = thread_state();
@@ -627,6 +667,10 @@ void record_attribution_tally(const void* instance, int waiter_mode,
 
 std::vector<ThreadTrace> snapshot_traces() {
   return Registry::instance().snapshot_traces();
+}
+
+std::vector<ThreadSpans> snapshot_spans() {
+  return Registry::instance().snapshot_spans();
 }
 
 MetricsSnapshot collect_metrics() {
@@ -763,7 +807,6 @@ void set_trace_file(const std::string& path) {
 
 void reset_for_test() {
   Registry::instance().reset(&thread_state());
-  reset_spans_for_test();
   detail::g_next_txn.store(0, std::memory_order_relaxed);
   detail::txn_tls() = detail::TxnTls{};
   // Drop un-drained snapshot requests (the written count stays monotonic so

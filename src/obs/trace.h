@@ -7,10 +7,11 @@
 //     tests/benches) feeds the default of ModeTableConfig::trace_events;
 //   - each LockMechanism caches its table's trace_events flag and emits
 //     events/metrics only when it is set;
-//   - per-thread state (the SPSC event ring of ring.h, AcquireStats, the
-//     conflict/latency accumulators of metrics.h) registers itself with a
-//     process-wide registry on first use and retires into it at thread
-//     exit, so dumps and metrics include threads that are already gone.
+//   - per-thread state (the SPSC event and span rings of ring.h,
+//     AcquireStats, the conflict/latency accumulators of metrics.h)
+//     registers itself with a process-wide registry on first use and
+//     retires into it at thread exit, so dumps and metrics include threads
+//     that are already gone.
 //
 // Environment knobs (strictly parsed; malformed values warn once on stderr
 // and fall back, matching util/env convention):
@@ -236,10 +237,10 @@ std::uint32_t snapshots_written() noexcept;
 // their names from. Overrides SEMLOCK_TRACE_FILE.
 void set_trace_file(const std::string& path);
 
-// Test hook: drops retired-thread data, zeroes the folded global totals and
-// the calling thread's own ring/stats/accumulators, and resets the txn
-// counter and the calling thread's id block, so its next transaction is
-// id 1. Other live threads are left untouched: ids from a block they took
+// Test hook: drops retired-thread data (events and spans), zeroes the folded
+// global totals and the calling thread's own rings/stats/accumulators, and
+// resets the txn counter and the calling thread's id block, so its next
+// transaction is id 1. Other live threads are left untouched: ids from a block they took
 // before the reset may repeat ids handed out after it.
 void reset_for_test();
 

@@ -2,11 +2,11 @@
 //
 // Every traced contended wait publishes one edge — waiter owner id →
 // blocking owner id, tagged with the instance/mode and the blocker's lock
-// site — into a fixed table of seqlock slots (the WaitRegistry scheme of
-// runtime/wait_registry.h, with every field atomic so sampling is
-// data-race-free under TSan). The edge is opened on entry to the contended
-// path, its blocker refreshed at each park (the moment the PR 5 grant
-// record is sampled), and cleared on grant — so a snapshot taken from any
+// site — in the runtime::WaitRegistry slot its wait already occupies for the
+// StallWatchdog (runtime/wait_registry.h): the edge is part of the wait's
+// one publication on entry to the contended path, its blocker is refreshed
+// in the same slot at each park (the moment the PR 5 grant record is
+// sampled), and the grant clears the slot — so a snapshot taken from any
 // thread is the *current* blocked-by structure of the process.
 //
 // Consumers:
@@ -16,11 +16,11 @@
 //     timeout fires (each waiter has at most one outgoing edge, so the
 //     graph is functional and detection is a simple chain walk);
 //   - the StallWatchdog appends the full blocker chain (txn -> txn -> ...)
-//     for the stalled instance to its forensics report.
+//     starting at the stalled waiter to its forensics report.
 //
-// Publication is best-effort diagnostics, like the WaitRegistry: with more
-// than kWaitGraphSlots simultaneous waiters the overflow goes unobserved,
-// and the lock mechanism never depends on the table.
+// Publication is best-effort diagnostics, like the rest of the registry:
+// with more than WaitRegistry::kSlots simultaneous waiters the overflow goes
+// unobserved, and the lock mechanism never depends on the table.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +28,6 @@
 #include <vector>
 
 namespace semlock::obs {
-
-inline constexpr int kWaitGraphSlots = 512;
 
 // One sampled waiter -> blocker edge.
 struct WaitGraphEdge {
@@ -41,25 +39,8 @@ struct WaitGraphEdge {
   std::uint64_t since_ns = 0;     // wait start, steady clock
 };
 
-// RAII publication of one wait's edge. Default-constructed inactive; open()
-// claims the thread's slot (null-slot safe) and publishes, set_blocker()
-// refreshes the blocker identity in place, the destructor clears the edge.
-class WaitEdge {
- public:
-  WaitEdge() = default;
-  WaitEdge(const WaitEdge&) = delete;
-  WaitEdge& operator=(const WaitEdge&) = delete;
-  ~WaitEdge();
-
-  void open(const void* instance, int mode, std::uint64_t waiter,
-            std::uint64_t since_ns);
-  void set_blocker(std::uint64_t blocker, std::int32_t site);
-
- private:
-  void* slot_ = nullptr;
-};
-
-// Consistent sample of the current edges (skipping slots caught mid-write).
+// Consistent sample of the current edges (skipping slots caught mid-write),
+// ordered by waiter id.
 std::vector<WaitGraphEdge> snapshot_waitgraph();
 
 // Cycles among the sampled edges: each inner vector is one cycle's owner
@@ -76,11 +57,10 @@ std::string waitgraph_json();
 // Graphviz: digraph waitfor { "txn 3" -> "txn 7" [label="0x... mode 2"]; }
 std::string waitgraph_dot();
 
-// The blocker chain behind the wait on (instance, mode), rendered for the
-// StallWatchdog forensics: "wait-for chain: txn 1 -> txn 2 -> txn 3\n", or
-// "" when no matching edge is published. Walks waiter->blocker links up to
-// max_depth, cutting (and annotating) cycles.
-std::string waitgraph_chain(const void* instance, int mode,
-                            std::size_t max_depth = 8);
+// The blocker chain behind `waiter`'s wait, rendered for the StallWatchdog
+// forensics: "wait-for chain: txn 1 -> txn 2 -> txn 3\n", or "" when the
+// waiter has no published edge with a sampled blocker. Walks waiter->blocker
+// links up to max_depth, cutting (and annotating) cycles.
+std::string waitgraph_chain(std::uint64_t waiter, std::size_t max_depth = 8);
 
 }  // namespace semlock::obs

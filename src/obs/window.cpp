@@ -12,18 +12,12 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/wait_registry.h"
 #include "util/env.h"
 
 namespace semlock::obs {
 
 namespace {
-
-std::uint64_t now_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[32];
@@ -177,7 +171,7 @@ WindowedMetrics::WindowedMetrics(std::uint32_t slots, std::uint64_t window_ms)
       window_ms_(window_ms < 1 ? 1 : window_ms),
       ring_(new Slot[nslots_]),
       base_(new Baseline) {
-  base_->window_start_ns = now_ns();
+  base_->window_start_ns = runtime::steady_now_ns();
 }
 
 WindowedMetrics::~WindowedMetrics() { stop(); }
@@ -221,7 +215,7 @@ std::uint64_t sub_sat(std::uint64_t a, std::uint64_t b) {
 void WindowedMetrics::rotate_now() {
   drain_reset_requests();
   const CumulativeSample cur = take_sample();
-  const std::uint64_t end = now_ns();
+  const std::uint64_t end = runtime::steady_now_ns();
 
   WindowStats w;
   w.seq = next_seq_.load(std::memory_order_relaxed) + 1;
@@ -267,7 +261,7 @@ void WindowedMetrics::reset_window() {
   base_->wait_hist = cur.wait_hist;
   base_->hold_hist = cur.hold_hist;
   base_->holds_paired = cur.holds_paired;
-  base_->window_start_ns = now_ns();
+  base_->window_start_ns = runtime::steady_now_ns();
   resets_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -381,7 +375,7 @@ void WindowedMetrics::start() {
     return;  // already running
   }
   stop_requested_.store(false, std::memory_order_release);
-  base_->window_start_ns = now_ns();
+  base_->window_start_ns = runtime::steady_now_ns();
   install_window_reset_signal_handler();
   collector_ = std::thread([this] { collector_loop(); });
 }

@@ -132,7 +132,8 @@ void StallWatchdog::sample() {
       [&](const WaitRegistry::ActiveWait& wait) {
         WaiterTrack& track =
             tracks_[static_cast<std::size_t>(wait.slot_index)];
-        if (track.seq != wait.seq || track.mechanism != wait.mechanism) {
+        if (track.episode_start_ns != wait.start_ns ||
+            track.mechanism != wait.mechanism) {
           // New episode in this slot. Same mechanism and a small gap since
           // the waiter was last seen = the same waiter retrying (possibly
           // under a different mode after a partial release): carry its
@@ -147,7 +148,6 @@ void StallWatchdog::sample() {
             track.reported_at_ns = 0;
           }
           track.mechanism = wait.mechanism;
-          track.seq = wait.seq;
           track.episode_start_ns = wait.start_ns;
         }
         track.last_seen_ns = now;
@@ -193,9 +193,9 @@ void StallWatchdog::sample() {
           // The full blocker chain (txn -> txn -> ...) from the live
           // wait-for graph, not just the immediate holder — when the stall
           // is transitive (A waits on B waits on C), the root cause is the
-          // end of the chain.
-          const std::string chain =
-              obs::waitgraph_chain(report.mechanism, wait.mode);
+          // end of the chain. It starts at this slot's own waiter, so two
+          // waiters stalled on one (instance, mode) each get their chain.
+          const std::string chain = obs::waitgraph_chain(wait.waiter);
           if (!chain.empty()) report.forensics += "  " + chain;
         }
 #endif

@@ -49,10 +49,10 @@ struct StallReport {
   std::uint64_t wait_ns = 0;
   // Wait accrued by this waiter across chained episodes: a waiter that
   // re-enters the wait loop under a different mode after a partial release
-  // (new WaitScope, new seq, fresh start_ns) is still the same starved
-  // waiter, so the watchdog chains temporally-adjacent episodes in the same
-  // registry slot on the same mechanism and reports when the SUM crosses
-  // the threshold. Equal to wait_ns for an unchained wait.
+  // (new WaitScope, fresh start_ns) is still the same starved waiter, so
+  // the watchdog chains temporally-adjacent episodes in the same registry
+  // slot on the same mechanism and reports when the SUM crosses the
+  // threshold. Equal to wait_ns for an unchained wait.
   std::uint64_t cumulative_wait_ns = 0;
   // (conflicting mode id, current holder count); empty when mechanism is
   // null. A stall with every holder count zero points at the mechanism's
@@ -127,16 +127,15 @@ class StallWatchdog {
   std::vector<const LockMechanism*> watched_;
 
   // Per-slot waiter tracking. Keyed on the WAITER (slot + mechanism), not on
-  // the episode's publication seq: a waiter that retries under a different
-  // mode publishes a new seq with a fresh start_ns, and a seq-keyed dedup
-  // would silently restart its stall clock every retry — the chronically
-  // starved retrier is exactly the waiter forensics must not drop. Episodes
-  // whose gap in the same slot on the same mechanism stays within a few
-  // polls are chained; `accrued_ns` carries the completed episodes and the
+  // the episode (its start_ns): a waiter that retries under a different
+  // mode publishes a fresh start_ns, and an episode-keyed dedup would
+  // silently restart its stall clock every retry — the chronically starved
+  // retrier is exactly the waiter forensics must not drop. Episodes whose
+  // gap in the same slot on the same mechanism stays within a few polls are
+  // chained; `accrued_ns` carries the completed episodes and the
   // repeat-interval rate limit applies to the waiter as a whole.
   struct WaiterTrack {
     std::uint64_t mechanism = 0;
-    std::uint64_t seq = 0;
     std::uint64_t episode_start_ns = 0;
     std::uint64_t accrued_ns = 0;
     std::uint64_t last_seen_ns = 0;

@@ -56,7 +56,9 @@ WaitRegistry::Slot* WaitRegistry::thread_slot() {
   return owner.slot;
 }
 
-WaitScope::WaitScope(const void* mechanism, int mode, int partition)
+WaitScope::WaitScope(const void* mechanism, int mode, int partition,
+                     std::uint64_t start_ns, std::uint64_t waiter,
+                     std::uint64_t blocker, std::int32_t blocker_site)
     : slot_(WaitRegistry::instance().thread_slot()) {
   if (!slot_) return;
   const std::uint64_t seq = slot_->seq.load(std::memory_order_relaxed);
@@ -66,8 +68,21 @@ WaitScope::WaitScope(const void* mechanism, int mode, int partition)
                          std::memory_order_relaxed);
   slot_->mode.store(mode, std::memory_order_relaxed);
   slot_->partition.store(partition, std::memory_order_relaxed);
-  slot_->start_ns.store(steady_now_ns(), std::memory_order_relaxed);
+  slot_->start_ns.store(start_ns, std::memory_order_relaxed);
+  slot_->waiter.store(waiter, std::memory_order_relaxed);
+  slot_->blocker.store(blocker, std::memory_order_relaxed);
+  slot_->blocker_site.store(blocker_site, std::memory_order_relaxed);
   slot_->seq.store(seq + 2, std::memory_order_release);  // even: published
+}
+
+void WaitScope::set_blocker(std::uint64_t blocker, std::int32_t site) {
+  if (!slot_) return;
+  const std::uint64_t seq = slot_->seq.load(std::memory_order_relaxed);
+  slot_->seq.store(seq + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  slot_->blocker.store(blocker, std::memory_order_relaxed);
+  slot_->blocker_site.store(site, std::memory_order_relaxed);
+  slot_->seq.store(seq + 2, std::memory_order_release);
 }
 
 WaitScope::~WaitScope() {

@@ -1,11 +1,15 @@
-// Process-wide registry of in-flight lock waits, feeding the StallWatchdog.
+// Process-wide registry of in-flight lock waits, feeding the StallWatchdog
+// and the live wait-for graph (obs/waitgraph.h).
 //
 // Every thread that enters the contended path of the lock mechanism claims a
 // thread-local slot (released at thread exit) and publishes
-// {mechanism, mode, partition, wait-start} for the duration of the wait. The
-// watchdog samples the table from its own thread; a per-slot sequence number
-// (seqlock discipline, but with every field atomic so the scheme is
-// data-race-free under TSan) lets it skip slots caught mid-update.
+// {mechanism, mode, partition, wait-start} for the duration of the wait. A
+// traced wait also publishes its wait-for edge in the same slot: the
+// waiter's owner id and the blocker it sampled (owner id and lock site),
+// the blocker refreshed in place at each park. Readers sample the table from
+// their own thread; a per-slot sequence number (seqlock discipline, but with
+// every field atomic so the scheme is data-race-free under TSan) lets them
+// skip slots caught mid-update.
 //
 // Publication is best-effort diagnostics: if more threads than kSlots wait
 // simultaneously, the overflow waiters simply go unobserved — the lock
@@ -31,6 +35,10 @@ class WaitRegistry {
     std::atomic<std::int32_t> mode{-1};
     std::atomic<std::int32_t> partition{-1};
     std::atomic<std::uint64_t> start_ns{0};  // steady_clock, ns since epoch
+    // Wait-for edge (obs owner ids); waiter 0 = no edge published.
+    std::atomic<std::uint64_t> waiter{0};
+    std::atomic<std::uint64_t> blocker{0};  // 0 = none sampled
+    std::atomic<std::int32_t> blocker_site{-1};
     std::atomic<bool> claimed{false};
   };
 
@@ -45,8 +53,10 @@ class WaitRegistry {
     std::int32_t mode;
     std::int32_t partition;
     std::uint64_t start_ns;
+    std::uint64_t waiter;
+    std::uint64_t blocker;
+    std::int32_t blocker_site;
     int slot_index;
-    std::uint64_t seq;  // publication id: (slot, seq) names one wait episode
   };
 
   // Invokes `fn(const ActiveWait&)` for every slot publishing a wait that is
@@ -62,11 +72,13 @@ class WaitRegistry {
       w.mode = s.mode.load(std::memory_order_relaxed);
       w.partition = s.partition.load(std::memory_order_relaxed);
       w.start_ns = s.start_ns.load(std::memory_order_relaxed);
+      w.waiter = s.waiter.load(std::memory_order_relaxed);
+      w.blocker = s.blocker.load(std::memory_order_relaxed);
+      w.blocker_site = s.blocker_site.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != seq1) continue;
       if (w.mechanism == 0) continue;
       w.slot_index = i;
-      w.seq = seq1;
       fn(static_cast<const ActiveWait&>(w));
     }
   }
@@ -86,13 +98,19 @@ std::uint64_t steady_now_ns();
 std::uint64_t thread_cpu_now_ns();
 
 // RAII publication of one wait episode. Constructed on entry to the
-// contended lock path, destroyed on acquisition. Null-slot safe.
+// contended lock path with the wait's start time, destroyed on acquisition.
+// A nonzero `waiter` also publishes the wait-for edge to `blocker`, which
+// set_blocker() refreshes. Null-slot safe.
 class WaitScope {
  public:
-  WaitScope(const void* mechanism, int mode, int partition);
+  WaitScope(const void* mechanism, int mode, int partition,
+            std::uint64_t start_ns, std::uint64_t waiter = 0,
+            std::uint64_t blocker = 0, std::int32_t blocker_site = -1);
   WaitScope(const WaitScope&) = delete;
   WaitScope& operator=(const WaitScope&) = delete;
   ~WaitScope();
+
+  void set_blocker(std::uint64_t blocker, std::int32_t site);
 
  private:
   WaitRegistry::Slot* slot_;

@@ -22,7 +22,6 @@
 #include "obs/attribution.h"
 #include "obs/span.h"
 #include "obs/trace.h"
-#include "obs/waitgraph.h"
 // Mechanism-level trace hook: gated on this mechanism's cached
 // ModeTableConfig::trace_events flag (trace_), not the global switch, so
 // per-table overrides work and the disabled cost is one predictable branch.
@@ -866,16 +865,15 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
 #endif
   const std::uint64_t wait_start = runtime::steady_now_ns();
   const std::uint64_t cpu_start = runtime::thread_cpu_now_ns();
-  runtime::WaitScope watchdog_scope(this, mode, partition);
 #if defined(SEMLOCK_OBS)
-  // Publish this wait's waiter -> blocker edge in the live wait-for graph
-  // beside the watchdog's WaitScope; refreshed with the blocker at each
-  // park, cleared by the destructor on grant.
-  obs::WaitEdge wait_edge;
-  if (span_on) {
-    wait_edge.open(this, mode, obs::current_owner_id(), wait_start);
-    wait_edge.set_blocker(blocker.owner, blocker.site);
-  }
+  // One publication for the watchdog and, when spans are on, the live
+  // wait-for graph: the slot carries this wait's waiter -> blocker edge,
+  // refreshed with the blocker at each park and cleared on grant.
+  runtime::WaitScope wait_scope(this, mode, partition, wait_start,
+                                span_on ? obs::current_owner_id() : 0,
+                                blocker.owner, blocker.site);
+#else
+  runtime::WaitScope wait_scope(this, mode, partition, wait_start);
 #endif
 #if defined(SEMLOCK_DCT)
   dct::StarvationWaitScope starvation_scope(this, partition);
@@ -1000,7 +998,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
 #if defined(SEMLOCK_OBS)
             if (span_on) {
               capture_blocker(runtime::steady_now_ns());
-              wait_edge.set_blocker(blocker.owner, blocker.site);
+              wait_scope.set_blocker(blocker.owner, blocker.site);
             }
 #endif
             // A waiter can be preempted between its decision and its sleep;
@@ -1043,7 +1041,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
 #if defined(SEMLOCK_OBS)
           if (span_on) {
             capture_blocker(runtime::steady_now_ns());
-            wait_edge.set_blocker(blocker.owner, blocker.site);
+            wait_scope.set_blocker(blocker.owner, blocker.site);
           }
 #endif
           parking_->park(partition, gen);

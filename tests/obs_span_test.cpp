@@ -78,8 +78,8 @@ TEST(Span, KindNamesAreStable) {
 
 TEST(Span, RingWrapsOverwritingOldest) {
   obs::set_span_ring_capacity(64);
-  obs::reset_spans_for_test();  // drop this thread's ring so the new
-                                // capacity applies to the next record
+  obs::reset_for_test();  // drop this thread's ring so the new capacity
+                          // applies to the next record
   constexpr int kTotal = 200;
   for (int i = 0; i < kTotal; ++i) {
     Span s;
@@ -96,7 +96,7 @@ TEST(Span, RingWrapsOverwritingOldest) {
   EXPECT_EQ(got.front().start_ns, static_cast<std::uint64_t>(kTotal - 63));
   EXPECT_EQ(got.back().start_ns, static_cast<std::uint64_t>(kTotal - 1));
   obs::set_span_ring_capacity(obs::kDefaultSpanRingCapacity);
-  obs::reset_spans_for_test();
+  obs::reset_for_test();
 }
 
 TEST(Span, EnvTextParserIsStrictAndDefaultsOn) {
@@ -220,7 +220,8 @@ TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
   EXPECT_NE(dot.find("digraph waitfor"), std::string::npos) << dot;
   EXPECT_NE(dot.find(obs::format_owner(holder_id)), std::string::npos)
       << dot;
-  const std::string chain = obs::waitgraph_chain(&lk.mechanism(), starved);
+  const std::string chain =
+      obs::waitgraph_chain(waiter_id.load(std::memory_order_acquire));
   EXPECT_NE(chain.find("wait-for chain: "), std::string::npos) << chain;
   EXPECT_NE(chain.find(obs::format_owner(holder_id)), std::string::npos)
       << chain;
@@ -230,7 +231,8 @@ TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
 
   // The edge is gone once the wait is granted...
   EXPECT_TRUE(obs::snapshot_waitgraph().empty());
-  EXPECT_EQ(obs::waitgraph_chain(&lk.mechanism(), starved), "");
+  EXPECT_EQ(obs::waitgraph_chain(waiter_id.load(std::memory_order_acquire)),
+            "");
 
   // ...and the waiter's lock-wait span names the holder.
   bool saw_wait_span = false;
@@ -248,6 +250,48 @@ TEST(Span, ContendedWaitCapturesBlockerIdentityAndWaitGraphEdge) {
   }
   EXPECT_TRUE(saw_wait_span);
   obs::set_attribution_enabled(false);
+}
+
+// Spans retire through the event layer's registry: a worker that ran a
+// traced transaction and exited leaves a non-live span entry whose tid is
+// the tid of that worker's events.
+TEST(Span, ExitedThreadSpansRetireUnderItsEventTid) {
+  obs::reset_for_test();
+  obs::ScopedTraceEnable trace_on;
+  const auto t = make_traced_table();
+  SemanticLock lk(t);
+  std::uint64_t txn_id = 0;
+  std::thread worker([&] {
+    Transaction txn;
+    txn.lv_mode(&lk, t.resolve_constant(1));
+    txn_id = obs::current_txn();
+  });
+  worker.join();
+  ASSERT_NE(txn_id, 0u);
+
+  // The worker's tid, from its (now retired) events.
+  std::uint32_t worker_tid = 0;
+  for (const obs::ThreadTrace& tt : obs::snapshot_traces()) {
+    for (const obs::Event& e : tt.events) {
+      if (e.txn == txn_id) {
+        EXPECT_FALSE(tt.live);
+        worker_tid = tt.tid;
+      }
+    }
+  }
+  ASSERT_NE(worker_tid, 0u);
+
+  bool found = false;
+  for (const obs::ThreadSpans& ts : obs::snapshot_spans()) {
+    if (ts.live) continue;
+    for (const Span& s : ts.spans) {
+      if (s.txn != txn_id) continue;
+      found = true;
+      EXPECT_EQ(ts.tid, worker_tid);
+      EXPECT_EQ(s.tid, worker_tid);
+    }
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(WaitGraph, CycleDetectionFindsTheLoopAndSkipsTheTail) {

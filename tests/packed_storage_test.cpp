@@ -330,11 +330,15 @@ TEST(PackedStorageTest, GrantBarrierBitsPreserveFairnessMachinery) {
 TEST(Footprint, PackedAtLeast4xSmallerThanFlatPadded) {
   // ISSUE 8 acceptance: per-instance footprint of the packed word (with
   // futex-word waits, so no ParkingLot either) must be at least 4x below
-  // the padded flat layout on a full-width (8-mode) table.
+  // the padded flat layout on a full-width (8-mode) table. The bound is
+  // defined for the default Free grant policy, so both configs pin it:
+  // a fair policy adds per-partition grant slots to both sides, which
+  // measures a different configuration (e.g. 793 B vs 4 x 209 B with fifo).
   ModeTableConfig flat_cfg;
   flat_cfg.abstract_values = 7;
   flat_cfg.storage = StorageKind::Flat;
   flat_cfg.pad_counters = true;
+  flat_cfg.grant_policy = runtime::GrantPolicyKind::Free;
   ModeTableConfig packed_cfg = flat_cfg;
   packed_cfg.storage = StorageKind::Packed;
   packed_cfg.pad_counters = false;

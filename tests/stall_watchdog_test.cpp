@@ -3,6 +3,7 @@
 // counts) — diagnostics in place of the timeout aborts OS2PL forbids.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -198,12 +199,13 @@ TEST(StallWatchdog, ChainedRetryEpisodesCrossThresholdCumulatively) {
 
   // Direct WaitScope publication: 30 episodes of ~20ms each, none remotely
   // near the 120ms threshold on its own, alternating the waited mode to
-  // prove the chain keys on the waiter, not on (mode, seq).
+  // prove the chain keys on the waiter, not on (mode, episode start).
   const int fake_mechanism = 0;
   std::atomic<bool> done{false};
   std::thread retrier([&] {
     for (int i = 0; i < 30 && watchdog.stalls_reported() == 0; ++i) {
-      runtime::WaitScope scope(&fake_mechanism, i % 2, 0);
+      runtime::WaitScope scope(&fake_mechanism, i % 2, 0,
+                               runtime::steady_now_ns());
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     done.store(true, std::memory_order_release);
@@ -250,7 +252,8 @@ TEST(StallWatchdog, GappedEpisodesDoNotChain) {
   const int fake_mechanism = 0;
   for (int i = 0; i < 15; ++i) {
     {
-      runtime::WaitScope scope(&fake_mechanism, 0, 0);
+      runtime::WaitScope scope(&fake_mechanism, 0, 0,
+                               runtime::steady_now_ns());
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     // Idle gap > 4 * poll: the next episode must start a fresh track.
@@ -258,6 +261,38 @@ TEST(StallWatchdog, GappedEpisodesDoNotChain) {
   }
   watchdog.stop();
   EXPECT_EQ(watchdog.stalls_reported(), 0u);
+}
+
+// Refreshing the published blocker (what every park of a traced wait does)
+// rewrites the slot but is still the same episode: the watchdog must neither
+// restart its stall clock nor chain the episode onto itself.
+TEST(StallWatchdog, BlockerRefreshesKeepOneEpisode) {
+  ReportCollector collector;
+  StallWatchdog::Options options;
+  options.poll = std::chrono::milliseconds(10);
+  options.threshold = std::chrono::milliseconds(120);
+  options.repeat_interval = std::chrono::milliseconds(0);
+  StallWatchdog watchdog(options, collector.callback());
+  watchdog.start();
+
+  const int fake_mechanism = 0;
+  {
+    runtime::WaitScope scope(&fake_mechanism, 0, 0, runtime::steady_now_ns(),
+                             /*waiter=*/1, /*blocker=*/2);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(250);
+    for (std::uint64_t b = 3; std::chrono::steady_clock::now() < until; ++b) {
+      scope.set_blocker(b, 7);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  watchdog.stop();
+
+  const std::lock_guard<std::mutex> guard(collector.mu);
+  ASSERT_FALSE(collector.reports.empty());
+  for (const StallReport& r : collector.reports) {
+    EXPECT_EQ(r.cumulative_wait_ns, r.wait_ns);
+  }
 }
 
 TEST(StallWatchdog, FromEnvDisabledWithoutVariable) {
@@ -444,6 +479,88 @@ TEST(StallWatchdog, ForensicsCarryThreeDeepBlockerChain) {
   EXPECT_NE(chain_forensics.find(expected), std::string::npos)
       << "forensics: " << chain_forensics << "\nexpected: " << expected;
   obs::set_attribution_enabled(false);
+}
+
+// Two traced transactions stall on the same (instance, mode) behind one
+// holder. Each waiter's report must carry the chain that starts at that
+// waiter, so across the reports the chain heads name both transactions.
+TEST(StallWatchdog, ForensicsChainStartsAtTheStalledWaiter) {
+  obs::reset_for_test();
+  obs::set_attribution_enabled(true);
+  ModeTableConfig c;
+  c.abstract_values = 4;
+  c.wait_policy = WaitPolicyKind::AlwaysPark;
+  c.trace_events = true;
+  const auto t = ModeTable::compile(
+      commute::set_spec(),
+      {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
+       SymbolicSet({op("size"), op("clear")})},
+      c);
+  SemanticLock lk(t);
+  const Value v0[1] = {0};
+  const int held = t.resolve(0, v0);
+  const int starved = t.resolve_constant(1);
+  ASSERT_FALSE(t.commutes(held, starved));
+
+  ReportCollector collector;
+  StallWatchdog::Options options;
+  options.poll = std::chrono::milliseconds(10);
+  options.threshold = std::chrono::milliseconds(40);
+  options.repeat_interval = std::chrono::milliseconds(50);
+  StallWatchdog watchdog(options, collector.callback());
+  watchdog.watch(lk.mechanism());
+  watchdog.start();
+
+  Transaction holder;
+  holder.lv_mode(&lk, held);
+  std::atomic<std::uint64_t> ids[2] = {0, 0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 2; ++i) {
+    waiters.emplace_back([&, i] {
+      Transaction txn;
+      ids[i].store(obs::current_txn(), std::memory_order_release);
+      txn.lv_mode(&lk, starved);
+    });
+  }
+
+  // The owner named first in a report's chain, or "" without a chain.
+  const auto chain_head = [](const std::string& forensics) -> std::string {
+    const std::string tag = "wait-for chain: ";
+    const std::size_t at = forensics.find(tag);
+    if (at == std::string::npos) return "";
+    const std::size_t from = at + tag.size();
+    return forensics.substr(from, forensics.find(" -> ", from) - from);
+  };
+  std::vector<std::string> heads;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < deadline) {
+    heads.clear();
+    {
+      const std::lock_guard<std::mutex> guard(collector.mu);
+      for (const StallReport& r : collector.reports) {
+        const std::string head = chain_head(r.forensics);
+        if (!head.empty() &&
+            std::find(heads.begin(), heads.end(), head) == heads.end()) {
+          heads.push_back(head);
+        }
+      }
+    }
+    if (heads.size() >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  holder.unlock_all();
+  for (std::thread& w : waiters) w.join();
+  watchdog.stop();
+  obs::set_attribution_enabled(false);
+
+  std::sort(heads.begin(), heads.end());
+  std::vector<std::string> expected = {
+      obs::format_owner(ids[0].load(std::memory_order_acquire)),
+      obs::format_owner(ids[1].load(std::memory_order_acquire))};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(heads, expected);
 }
 #endif  // SEMLOCK_OBS
 
