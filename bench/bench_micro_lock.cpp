@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): the raw cost of the semantic-locking
-// runtime — uncontended acquire/release vs std::mutex, mode resolution, and
-// mode-table compilation.
+// runtime — uncontended acquire/release vs std::mutex, a two-thread
+// conflicting acquire, mode resolution, and mode-table compilation.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -115,6 +116,59 @@ BENCHMARK(BM_SelfCommutingAcquire)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
+
+// Two threads lock conflicting modes of one instance (add/remove of one
+// value against size/clear). Each holds its mode for a short section and
+// then works as long again outside it, so the two mostly alternate and
+// most acquisitions find the other thread holding: `contended` is the
+// share of each thread's acquisitions that waited. The time per iteration
+// is two sections plus the fixed cost of a contended wait.
+void BM_ConflictingAcquire(benchmark::State& state) {
+  constexpr int kRounds = 128;  // xorshift rounds inside and outside
+  static const ModeTable table = [] {
+    ModeTableConfig cfg;
+    cfg.abstract_values = 4;
+    return ModeTable::compile(
+        commute::set_spec(),
+        {SymbolicSet({op("add", {var("v")}), op("remove", {var("v")})}),
+         SymbolicSet({op("size"), op("clear")})},
+        cfg);
+  }();
+  static SemanticLock* lock = nullptr;
+  if (state.thread_index() == 0) lock = new SemanticLock(table);
+  const Value vals[1] = {0};
+  const int mode = state.thread_index() == 0 ? table.resolve(0, vals)
+                                             : table.resolve_constant(1);
+  std::uint64_t x = static_cast<std::uint64_t>(state.thread_index()) + 1;
+  const auto work = [&x] {
+    for (int i = 0; i < kRounds; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    benchmark::DoNotOptimize(x);
+  };
+  const AcquireStats before = local_acquire_stats();
+  for (auto _ : state) {
+    lock->lock(mode);
+    work();
+    lock->unlock(mode);
+    work();
+  }
+  const AcquireStats& after = local_acquire_stats();
+  const auto acquisitions = after.acquisitions - before.acquisitions;
+  state.counters["contended"] = benchmark::Counter(
+      acquisitions == 0 ? 0.0
+                        : static_cast<double>(after.contended -
+                                              before.contended) /
+                              static_cast<double>(acquisitions),
+      benchmark::Counter::kAvgThreads);
+  if (state.thread_index() == 0) {
+    delete lock;
+    lock = nullptr;
+  }
+}
+BENCHMARK(BM_ConflictingAcquire)->Threads(2)->UseRealTime();
 
 void BM_ModeResolve(benchmark::State& state) {
   static const ModeTable table = cia_table(64);

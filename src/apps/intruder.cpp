@@ -244,10 +244,13 @@ class IntruderTwoPL final : public IntruderBase {
   bool process(const Packet& p) override {
     Assembly* hint = nullptr;
     {
+      // Declared before the txn so it is destroyed after the txn releases:
+      // once the erase below drops the map's copy, `e` keeps the assembly's
+      // lock alive until it is unlocked.
+      Entry e;
       baseline::TwoPLTxn txn;
       txn.acquire(&map_ilock_);  // order: map < assembly < queue
       auto it = fragmented_.find(p.flow_id);
-      Entry e;
       if (it == fragmented_.end()) {
         e.ptr = new_assembly(p.num_fragments);
         e.lock = std::make_shared<baseline::InstanceLock>();

@@ -112,6 +112,23 @@ class WaitState {
     return false;  // unreachable
   }
 
+  // True when the next step() can take the waiter off its CPU: it yields
+  // (spin-yield, or a spin budget past the backoff's pause rounds) or tells
+  // the caller to park. Until then the waiter only spins on its own core,
+  // so its wait costs CPU equal to its wall time and needs no CPU clock.
+  bool may_leave_cpu() const noexcept {
+    switch (kind_) {
+      case WaitPolicyKind::SpinYield:
+        return backoff_.yields_next();
+      case WaitPolicyKind::SpinThenPark:
+      case WaitPolicyKind::FutexWord:
+        return spins_left_ == 0 || backoff_.yields_next();
+      case WaitPolicyKind::AlwaysPark:
+        return true;
+    }
+    return true;  // unreachable
+  }
+
  private:
   WaitPolicyKind kind_;
   std::uint32_t spins_left_;

@@ -92,9 +92,10 @@ class WaitRegistry {
 std::uint64_t steady_now_ns();
 
 // CPU nanoseconds charged to the calling thread (CLOCK_THREAD_CPUTIME_ID).
-// The waiting subsystem's key observable: a spinning waiter accumulates
-// thread CPU for its entire wait, a parked waiter only around the futex
-// calls.
+// This clock has no vDSO path: every read is a syscall (~400 ns on a
+// virtualized x86 host, against ~45 ns for the steady clock). The lock path
+// therefore reads it only once a wait can leave the CPU (first yield or
+// park); before that, a spinning waiter's CPU is its wall time.
 std::uint64_t thread_cpu_now_ns();
 
 // RAII publication of one wait episode. Constructed on entry to the

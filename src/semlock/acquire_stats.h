@@ -23,9 +23,12 @@ struct AcquireStats {
   std::uint64_t optimistic_hits = 0;
   std::uint64_t retracts = 0;
   std::uint64_t wait_ns = 0;    // total wall time spent in contended waits
-  // Thread CPU time charged to this thread while it waited. The policy
-  // discriminator: spinners burn CPU for the whole wait, parked waiters
-  // only around the futex calls.
+  // CPU time this thread spent waiting. The policy discriminator: spinners
+  // burn CPU for the whole wait, parked waiters only around the futex
+  // calls. Until the first step that may yield or park, a wait is pure
+  // spinning and charges its wall time; from that step on, the thread-CPU
+  // clock measures it, capped at the wall time it covers. A refused
+  // try_lock charges its wall time (docs/RUNTIME_WAITING.md §2).
   std::uint64_t wait_cpu_ns = 0;
   // Longest single contended wait. The fairness headline: under the Free
   // grant policy a commuting flood makes this unbounded while the averages

@@ -1,5 +1,6 @@
 #include "semlock/lock_mechanism.h"
 
+#include <algorithm>
 #include <new>
 
 #include "dct/hooks.h"
@@ -864,7 +865,12 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   }
 #endif
   const std::uint64_t wait_start = runtime::steady_now_ns();
-  const std::uint64_t cpu_start = runtime::thread_cpu_now_ns();
+  // The thread-CPU clock is a syscall, so it is read only once the wait can
+  // leave the CPU (the first step() that yields or parks). Until then the
+  // waiter spins on its own core and its wait CPU is its wall time.
+  bool escalated = false;
+  std::uint64_t escalate_wall = 0;
+  std::uint64_t escalate_cpu = 0;
 #if defined(SEMLOCK_OBS)
   // One publication for the watchdog and, when spans are on, the live
   // wait-for graph: the slot carries this wait's waiter -> blocker edge,
@@ -932,10 +938,19 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           ++stats.handoffs;
           LM_OBS_EVENT(kGrantHandoff, mode);
         }
-        const std::uint64_t waited = runtime::steady_now_ns() - wait_start;
+        const std::uint64_t granted = runtime::steady_now_ns();
+        const std::uint64_t waited = granted - wait_start;
         stats.wait_ns += waited;
         if (waited > stats.max_wait_ns) stats.max_wait_ns = waited;
-        stats.wait_cpu_ns += runtime::thread_cpu_now_ns() - cpu_start;
+        // Past the escalation the CPU clock is capped at the wall time it
+        // covers: the two clocks tick from different sources, and a thread
+        // cannot burn more CPU than the time that passed.
+        stats.wait_cpu_ns +=
+            escalated ? (escalate_wall - wait_start) +
+                            std::min(runtime::thread_cpu_now_ns() -
+                                         escalate_cpu,
+                                     granted - escalate_wall)
+                      : waited;
         LM_OBS_EVENT(kAcquireGrant, mode);
         LM_ATTR_GRANT(mode, args);
 #if defined(SEMLOCK_DCT)
@@ -960,6 +975,11 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     // release racing with the announcement is never missed; with a ticket
     // the re-validation covers eligibility too, since the handoff wakeup
     // above races with this announcement the same way a release does.
+    if (!escalated && wait.may_leave_cpu()) {
+      escalated = true;
+      escalate_wall = runtime::steady_now_ns();
+      escalate_cpu = runtime::thread_cpu_now_ns();
+    }
     if (wait.step()) {
       bool slept_on_word = false;
       if constexpr (Storage::kPacked) {
@@ -1065,9 +1085,9 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
       partition_locks_[static_cast<std::size_t>(partition)];
   // Mirrors lock(): the pre-check is the Fig. 20 fast path and obeys the
   // same ablation knob, and a refused attempt charges its duration to the
-  // wait counters just like a contended lock() does.
+  // wait counters just like a contended lock() does. It never yields or
+  // parks, so its wall time is also its wait CPU.
   const std::uint64_t wait_start = runtime::steady_now_ns();
-  const std::uint64_t cpu_start = runtime::thread_cpu_now_ns();
   const bool precheck = table_->config().fast_path_precheck;
   bool ok = false;
   // A try_lock never queues, so under a raised grant barrier it simply
@@ -1140,8 +1160,9 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
   }
   if (!ok) {
     ++stats.contended;
-    stats.wait_ns += runtime::steady_now_ns() - wait_start;
-    stats.wait_cpu_ns += runtime::thread_cpu_now_ns() - cpu_start;
+    const std::uint64_t waited = runtime::steady_now_ns() - wait_start;
+    stats.wait_ns += waited;
+    stats.wait_cpu_ns += waited;
   }
   return ok;
 }

@@ -58,8 +58,8 @@ struct HealthSample {
 
 // Admission state derived from a sample: 0 ok, 1 saturated (some queue at
 // or past half capacity), 2 overloaded (requests have been shed). Shed is
-// cumulative, so overloaded is sticky for the run — by design: a server
-// that shed load is not healthy until someone looks at why.
+// cumulative over the Server's runs, so overloaded is sticky — by design:
+// a server that shed load is not healthy until someone looks at why.
 int admission_state(const HealthSample& s);
 const char* admission_state_name(int state);
 

@@ -52,6 +52,12 @@ Server::Server(const ServerConfig& cfg, CCBackend* backend)
   if (workers_ > shards_) workers_ = shards_;
 }
 
+Server::~Server() {
+#if defined(SEMLOCK_OBS)
+  clear_admin_stats_provider();
+#endif
+}
+
 ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
   ServerReport report;
   report.offered = schedule.size();
@@ -81,19 +87,24 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
 
 #if defined(SEMLOCK_OBS)
   // /healthz and semlock_server_* scrape through this for the duration of
-  // the run; every captured local outlives the clear below.
-  set_admin_stats_provider([&, this]() {
-    HealthSample s;
+  // the run; every captured local outlives the replacement below. The
+  // counters continue from this Server's earlier runs.
+  HealthSample idle;
+  idle.cc_backend = backend_->name();
+  idle.workers = workers_;
+  idle.shards = shards_;
+  idle.queue_capacity = static_cast<std::uint64_t>(queue_capacity_);
+  idle.offered = offered_total_;
+  idle.completed = completed_total_;
+  idle.shed = shed_total_;
+  set_admin_stats_provider([&, idle]() {
+    HealthSample s = idle;
     s.server_running = true;
-    s.cc_backend = backend_->name();
-    s.workers = workers_;
-    s.shards = shards_;
-    s.offered = offered_live.load(std::memory_order_relaxed);
-    s.shed = shed_live.load(std::memory_order_relaxed);
+    s.offered += offered_live.load(std::memory_order_relaxed);
+    s.shed += shed_live.load(std::memory_order_relaxed);
     for (const auto& st : states) {
       s.completed += st->completed.load(std::memory_order_relaxed);
     }
-    s.queue_capacity = static_cast<std::uint64_t>(queue_capacity_);
     s.queue_depths.reserve(queues.size());
     for (const auto& q : queues) {
       const std::uint64_t d = q->depth();
@@ -224,11 +235,6 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
 
   stop.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
-#if defined(SEMLOCK_OBS)
-  // The provider captures this frame's locals by reference; detach it
-  // before they go out of scope.
-  clear_admin_stats_provider();
-#endif
   report.wall_seconds =
       static_cast<double>(ns_since(start_tp)) / 1e9;
 
@@ -243,6 +249,18 @@ ServerReport Server::run(const std::vector<Request>& schedule, bool paced) {
       report.max_queue_depth = q->high_watermark();
     }
   }
+  offered_total_ += report.offered;
+  completed_total_ += report.completed;
+  shed_total_ += report.shed;
+#if defined(SEMLOCK_OBS)
+  // The live provider captures this frame's locals by reference; replace
+  // it before they go out of scope. Until the next run the endpoint reports
+  // the totals so far, with no queues and server_running false.
+  idle.offered = offered_total_;
+  idle.completed = completed_total_;
+  idle.shed = shed_total_;
+  set_admin_stats_provider([idle] { return idle; });
+#endif
   return report;
 }
 

@@ -57,6 +57,10 @@ class Server {
   // `backend` must outlive the Server. Worker count is clamped to
   // [1, shards], and to 1 for a SERIAL backend.
   Server(const ServerConfig& cfg, CCBackend* backend);
+  // Detaches the admin endpoint's stats provider.
+  ~Server();
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
 
   // Replays `schedule` once and drains. `paced` replays in real time
   // against each request's arrival_ns (the open-loop measurement mode);
@@ -72,6 +76,12 @@ class Server {
   int workers_;
   int shards_;
   int queue_capacity_;
+  // Requests offered, completed and shed by the runs this Server finished.
+  // The live semlock_server_*_total counters start from these, so they
+  // never go back between run() calls (semlock-server --repeat).
+  std::uint64_t offered_total_ = 0;
+  std::uint64_t completed_total_ = 0;
+  std::uint64_t shed_total_ = 0;
 };
 
 }  // namespace semlock::server

@@ -47,6 +47,10 @@ class Backoff {
 
   void reset() noexcept { spins_ = 1; }
 
+  // True when the next pause() yields instead of spinning: after 8 pauses
+  // (1 + 2 + ... + 128 = 255 cpu_relax), every later pause yields.
+  bool yields_next() const noexcept { return spins_ >= kMaxSpins; }
+
  private:
   static constexpr std::uint32_t kMaxSpins = 256;
   std::uint32_t spins_ = 1;

@@ -25,6 +25,9 @@
 #include "obs/window.h"
 #include "semlock/lock_mechanism.h"
 #include "server/admin.h"
+#include "server/cc_backend.h"
+#include "server/server.h"
+#include "server/traffic_gen.h"
 
 namespace semlock {
 namespace {
@@ -264,6 +267,53 @@ TEST_F(MetricsEndpointTest, WaitgraphRoutesServeJsonAndDot) {
                     reinterpret_cast<std::uintptr_t>(&m)));
   EXPECT_NE(loaded_body.find(instance_hex), std::string::npos)
       << loaded_body;
+}
+
+// semlock-server --repeat runs one Server many times: its offered,
+// completed and shed counters must keep counting across runs and between
+// them, since a Prometheus counter that goes back reads as a restart.
+TEST_F(MetricsEndpointTest, ServerCountersKeepCountingAcrossRuns) {
+  server::StoreConfig store;
+  store.accounts = 64;
+  store.kv_keys = 1024;
+  store.nodes = 32;
+  store.abstract_values = 16;
+  server::TrafficConfig traffic;
+  traffic.rate_rps = 200000.0;
+  traffic.duration_ms = 5;
+  traffic.store = store;
+  ASSERT_TRUE(server::parse_traffic_mix("mixed", &traffic.mix));
+  const auto schedule = server::generate_schedule(traffic);
+  ASSERT_GT(schedule.size(), 0u);
+  server::ServerConfig cfg;
+  cfg.workers = 2;
+  cfg.shards = 4;
+  cfg.queue_capacity = static_cast<int>(schedule.size());  // no sheds
+  cfg.mode = server::CCMode::kGlobalLock;
+  const auto backend = server::make_cc_backend(cfg.mode, store);
+  {
+    server::Server srv(cfg, backend.get());
+    for (std::size_t run = 1; run <= 2; ++run) {
+      srv.run(schedule, /*paced=*/false);
+      const std::string page =
+          body_of(http_get(endpoint_->port(), "/metrics"));
+      EXPECT_EQ(sample_value(page, "semlock_server_offered_total"),
+                static_cast<double>(run * schedule.size()))
+          << "after run " << run;
+      const std::string health =
+          body_of(http_get(endpoint_->port(), "/healthz"));
+      EXPECT_NE(health.find("\"server_running\": false"), std::string::npos)
+          << health;
+      EXPECT_NE(health.find("\"completed\": " +
+                            std::to_string(run * schedule.size())),
+                std::string::npos)
+          << health;
+    }
+  }
+  // A destroyed Server detaches: nothing is left to report.
+  EXPECT_EQ(sample_value(body_of(http_get(endpoint_->port(), "/metrics")),
+                         "semlock_server_offered_total"),
+            0.0);
 }
 
 TEST_F(MetricsEndpointTest, UnknownPathsAndMethodsAreRejected) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -78,6 +79,44 @@ TEST(WaitPolicy, WaitStateSchedule) {
 
   runtime::WaitState eager(WaitPolicyKind::AlwaysPark, 1000);
   EXPECT_TRUE(eager.step());
+}
+
+// may_leave_cpu() is asked before each step(): it must turn true exactly at
+// the first step that yields or parks, because lock_contended starts reading
+// the thread-CPU clock there and charges wall time as CPU before it.
+TEST(WaitPolicy, MayLeaveCpuSchedule) {
+  // spin-yield: 8 backoff rounds of pause (1 + 2 + ... + 128), then yields.
+  runtime::WaitState spin(WaitPolicyKind::SpinYield, 0);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_FALSE(spin.may_leave_cpu()) << "step " << i;
+    EXPECT_FALSE(spin.step());
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(spin.may_leave_cpu());
+    EXPECT_FALSE(spin.step());
+  }
+
+  // spin-then-park with a budget shorter than the pause rounds: true once
+  // the budget is spent, i.e. at the step that parks.
+  runtime::WaitState adaptive(WaitPolicyKind::SpinThenPark, 3);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(adaptive.may_leave_cpu()) << "step " << i;
+    EXPECT_FALSE(adaptive.step());
+  }
+  EXPECT_TRUE(adaptive.may_leave_cpu());
+  EXPECT_TRUE(adaptive.step());
+  EXPECT_TRUE(adaptive.may_leave_cpu());
+
+  // A budget longer than the pause rounds yields before it parks.
+  runtime::WaitState long_budget(WaitPolicyKind::SpinThenPark, 64);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_FALSE(long_budget.may_leave_cpu()) << "step " << i;
+    EXPECT_FALSE(long_budget.step());
+  }
+  EXPECT_TRUE(long_budget.may_leave_cpu());
+
+  runtime::WaitState eager(WaitPolicyKind::AlwaysPark, 1000);
+  EXPECT_TRUE(eager.may_leave_cpu());
 }
 
 TEST(ParkingLot, GenerationAndParkedAccounting) {
@@ -221,6 +260,67 @@ TEST(AcquireStatsParks, AlwaysParkRecordsParksAndWaitTime) {
   waiter.join();
   EXPECT_GE(parks.load(), 1u);
   EXPECT_GT(wait_ns.load(), 0u);
+}
+
+// A parked waiter is off its CPU for the holder's whole hold, so the CPU
+// it is charged must be a small part of its wall wait.
+TEST(AcquireStatsParks, ParkedWaitChargesLessCpuThanWall) {
+  constexpr std::uint64_t kHoldNs = 50'000'000;
+  const auto t = make_set_table(WaitPolicyKind::AlwaysPark);
+  LockMechanism m(t);
+  const Value v0[1] = {0};
+  const int mode_a = t.resolve(0, v0);
+  const int mode_b = t.resolve_constant(1);
+
+  m.lock(mode_a);
+  std::atomic<std::uint64_t> wait_ns{0}, wait_cpu_ns{0};
+  std::thread waiter([&] {
+    auto& stats = local_acquire_stats();
+    stats.reset();
+    m.lock(mode_b);
+    m.unlock(mode_b);
+    wait_ns.store(stats.wait_ns);
+    wait_cpu_ns.store(stats.wait_cpu_ns);
+  });
+  const int partition = t.partition_of(mode_b);
+  while (m.parking_lot().parked(partition) == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::nanoseconds(kHoldNs));
+  m.unlock(mode_a);
+  waiter.join();
+  EXPECT_GE(wait_ns.load(), kHoldNs);
+  EXPECT_LT(wait_cpu_ns.load(), wait_ns.load() / 2);
+}
+
+// A spin-yield waiter never parks, and whether it only spun (CPU charged as
+// wall time) or also yielded (CPU clock from the first yield on), it is
+// never charged more CPU than wall time.
+TEST(AcquireStatsParks, SpinWaitNeverChargesMoreCpuThanWall) {
+  const auto t = make_set_table(WaitPolicyKind::SpinYield);
+  LockMechanism m(t);
+  const Value v0[1] = {0};
+  const int mode_a = t.resolve(0, v0);
+  const int mode_b = t.resolve_constant(1);
+
+  m.lock(mode_a);
+  std::atomic<bool> started{false};
+  std::atomic<std::uint64_t> parks{1}, wait_ns{0}, wait_cpu_ns{0};
+  std::thread waiter([&] {
+    auto& stats = local_acquire_stats();
+    stats.reset();
+    started.store(true);
+    m.lock(mode_b);
+    m.unlock(mode_b);
+    parks.store(stats.parks);
+    wait_ns.store(stats.wait_ns);
+    wait_cpu_ns.store(stats.wait_cpu_ns);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  m.unlock(mode_a);
+  waiter.join();
+  EXPECT_EQ(parks.load(), 0u);
+  EXPECT_GT(wait_ns.load(), 0u);
+  EXPECT_LE(wait_cpu_ns.load(), wait_ns.load());
 }
 
 TEST(AcquireStatsParks, SpinYieldNeverParks) {
