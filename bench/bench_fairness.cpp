@@ -8,13 +8,16 @@
 // The sweep runs the identical workload under every grant policy
 // (runtime::ScopedGrantPolicy) and reports the writer's wait distribution
 // (p50/p99/p999/max of the per-acquisition lock latency) next to the reader
-// throughput it cost: FIFO caps the tail hardest but serializes the flood,
-// PHASE_FAIR and BOUNDED_BYPASS trade between the two.
+// throughput it cost. FIFO (bounded bypass with K = 0) serializes the flood
+// behind every queued writer; BOUNDED_BYPASS lets K readers through per
+// queue head. Which of the two caps the writer's max wait harder depends on
+// the host, so read it from the committed JSON (EXPERIMENTS.md §12).
 //
 // Emits BENCH_fairness.json (override with --json=PATH).
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -140,14 +143,13 @@ int main(int argc, char** argv) {
   const runtime::GrantPolicyKind policies[] = {
       runtime::GrantPolicyKind::Free,
       runtime::GrantPolicyKind::Fifo,
-      runtime::GrantPolicyKind::PhaseFair,
       runtime::GrantPolicyKind::BoundedBypass,
   };
 
   std::printf(
       "%zu readers flooding contains(*), 1 writer x %zu add/remove "
       "acquisitions\n"
-      "policy rows: 0=free 1=fifo 2=phase-fair 3=bounded-bypass (K=%u)\n\n",
+      "policy rows: 0=free 1=fifo 2=bounded-bypass (K=%u)\n\n",
       kReaders, writer_ops,
       static_cast<unsigned>(runtime::default_bypass_bound()));
 
@@ -156,7 +158,7 @@ int main(int argc, char** argv) {
   util::SeriesTable tput_tbl("policy", "ops/ms");
   tput_tbl.set_series({"readers", "writer"});
 
-  for (std::size_t p = 0; p < 4; ++p) {
+  for (std::size_t p = 0; p < std::size(policies); ++p) {
     AcquireTally tally;
     // Warm-up cell shakes out first-touch allocation; the measured cell runs
     // the full workload.

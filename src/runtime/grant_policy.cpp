@@ -39,8 +39,6 @@ const char* grant_policy_name(GrantPolicyKind kind) {
       return "free";
     case GrantPolicyKind::Fifo:
       return "fifo";
-    case GrantPolicyKind::PhaseFair:
-      return "phase-fair";
     case GrantPolicyKind::BoundedBypass:
       return "bounded-bypass";
   }
@@ -50,9 +48,6 @@ const char* grant_policy_name(GrantPolicyKind kind) {
 std::optional<GrantPolicyKind> parse_grant_policy(std::string_view text) {
   if (text == "free") return GrantPolicyKind::Free;
   if (text == "fifo" || text == "ticket") return GrantPolicyKind::Fifo;
-  if (text == "phase-fair" || text == "phasefair" || text == "pf") {
-    return GrantPolicyKind::PhaseFair;
-  }
   if (text == "bounded-bypass" || text == "boundedbypass" ||
       text == "bounded" || text == "bypass" || text == "bb") {
     return GrantPolicyKind::BoundedBypass;

@@ -12,25 +12,21 @@
 //
 //   Free          — no admission control. The compatibility baseline; the
 //                   mechanism's fast paths are byte-for-byte the PR 3 code.
-//   Fifo          — strict ticket handoff: once anyone waits, every new
-//                   arrival (including the optimistic tier, which checks the
-//                   partition's barrier word before announcing) is diverted
-//                   to the wait queue and grants happen in arrival order.
-//                   Strongest fairness, pays head-of-line blocking: a
-//                   commuting flood behind one conflicting waiter serializes
-//                   through the ticket cursor.
-//   PhaseFair     — phase-fair handoff (Brandenburg/Anderson-style): while
-//                   waiters exist the fast path stays barred, and the queue
-//                   drains in phases — every waiter present at phase start
-//                   is granted (commuting ones overlap freely) before the
-//                   tickets taken after the phase began get their turn.
-//                   Alternates commuting batches and conflicting waiters
-//                   without serializing the commuting batch.
 //   BoundedBypass — the throughput/fairness dial: commuting arrivals may
 //                   bypass the oldest waiter at most K times
 //                   (SEMLOCK_BYPASS_BOUND); the K-th bypass raises the
 //                   barrier and new arrivals divert to the queue until that
-//                   waiter is granted, which resets the budget.
+//                   waiter is granted, which resets the budget. Queued
+//                   waiters are granted in ticket order.
+//   Fifo          — bounded bypass with K = 0: the barrier closes the moment
+//                   anyone queues, so every new arrival (including the
+//                   optimistic tier, which checks the partition's barrier
+//                   before announcing) is diverted to the wait queue and
+//                   grants happen in arrival order. Pays head-of-line
+//                   blocking: a commuting flood behind one conflicting
+//                   waiter serializes through the ticket cursor.
+//
+// One protocol serves both fair policies; only K differs.
 //
 // Selection mirrors the wait policies: per ModeTable via
 // ModeTableConfig::grant_policy, defaulting to the ambient override
@@ -43,11 +39,10 @@
 // order charges nothing. The certified bound adds an O(T) in-flight
 // allowance on top of the policy's budget: every other thread may slip one
 // doorway grant in (it passed its barrier check just before the barrier
-// rose) and one ticket/registration-reorder grant; PHASE_FAIR may reorder
-// a waiter behind later-ticketed peers of its own phase; and BOUNDED_BYPASS
+// rose) and one ticket/registration-reorder grant; and BOUNDED_BYPASS
 // refills its K budget for each successive queue head, so K scales by the
-// queue depth (at most T). FIFO/PHASE_FAIR certify 3x(T-1) and
-// BOUNDED_BYPASS certifies KxT + 2x(T-1) (tests/dct_mutation_test.cpp).
+// queue depth (at most T). FIFO certifies 3x(T-1) and BOUNDED_BYPASS
+// certifies KxT + 2x(T-1) (tests/dct_mutation_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -59,16 +54,15 @@ namespace semlock::runtime {
 enum class GrantPolicyKind {
   Free,
   Fifo,
-  PhaseFair,
   BoundedBypass,
 };
 
-// Short stable name ("free", "fifo", "phase-fair", "bounded-bypass") used by
+// Short stable name ("free", "fifo", "bounded-bypass") used by
 // benchmark tables, JSON output, and the environment knob.
 const char* grant_policy_name(GrantPolicyKind kind);
 
-// Accepts the canonical names plus the shorthands "phasefair", "pf",
-// "bounded", "bypass", "bb". Returns nullopt for anything else.
+// Accepts the canonical names plus the shorthands "ticket", "bounded",
+// "bypass", "bb". Returns nullopt for anything else.
 std::optional<GrantPolicyKind> parse_grant_policy(std::string_view text);
 
 // Resolves SEMLOCK_GRANT_POLICY text: recognized names parse as above;
@@ -97,9 +91,9 @@ class ScopedGrantPolicy {
   std::optional<GrantPolicyKind> previous_;
 };
 
-// BoundedBypass budget K. Range 1..2^20; the strict-parse contract of
-// util/env applies (malformed SEMLOCK_BYPASS_BOUND warns once on stderr and
-// falls back to the default of 16).
+// BoundedBypass budget K (Fifo runs with K = 0). Range 1..2^20; the
+// strict-parse contract of util/env applies (malformed SEMLOCK_BYPASS_BOUND
+// warns once on stderr and falls back to the default of 16).
 inline constexpr std::uint32_t kDefaultBypassBound = 16;
 std::uint32_t bypass_bound_from_env_text(const char* text);
 std::uint32_t default_bypass_bound();

@@ -2,8 +2,8 @@
 //
 // The Fig. 20 mechanism originally waited by pure spin-then-yield, which
 // burns a core per blocked transaction and collapses when the benchmark
-// oversubscribes the machine. This header names the three strategies the
-// runtime supports and the per-acquisition state machine that drives them:
+// oversubscribes the machine. This header names the four strategies the
+// runtime supports and the one per-acquisition driver they all run:
 //
 //   SpinYield    — the historical behavior: exponential-backoff spinning that
 //                  escalates to sched_yield. Never sleeps; lowest wakeup
@@ -12,16 +12,17 @@
 //   SpinThenPark — bounded adaptive spin (cheap when the conflicting holder
 //                  leaves quickly), then futex-style parking on the
 //                  partition's ParkingLot. The production default candidate.
-//   AlwaysPark   — park immediately on the first failed attempt. Best CPU
-//                  economy under heavy oversubscription; used by the
-//                  no-lost-wakeup stress tests because it maximizes the
-//                  park/notify interleavings.
-//   FutexWord    — bounded spin, then sleep DIRECTLY on the packed lock
-//                  word via C++20 std::atomic::wait/notify, bypassing the
-//                  external ParkingLot (docs/FAST_PATH.md §7). Only the
-//                  Packed storage policy has a single word to sleep on;
-//                  mechanisms with flat/striped storage silently degrade
-//                  this policy to SpinThenPark.
+//   AlwaysPark   — SpinThenPark with a spin budget of 0: park on the first
+//                  failed attempt. Best CPU economy under heavy
+//                  oversubscription; used by the no-lost-wakeup stress
+//                  tests because it maximizes the park/notify interleavings.
+//   FutexWord    — SpinThenPark's driver, but the waiter then sleeps
+//                  DIRECTLY on the packed lock word via C++20
+//                  std::atomic::wait/notify, bypassing the external
+//                  ParkingLot (docs/FAST_PATH.md §7). Only the Packed
+//                  storage policy has a single word to sleep on; mechanisms
+//                  with flat/striped storage silently degrade this policy
+//                  to SpinThenPark.
 //
 // Selection is per ModeTable (ModeTableConfig::wait_policy). The process-wide
 // default honors the SEMLOCK_WAIT_POLICY environment variable and an ambient
@@ -79,59 +80,48 @@ class ScopedWaitPolicy {
   std::optional<WaitPolicyKind> previous_;
 };
 
+// The driver each policy runs is "parks or not, plus a spin budget":
+// SpinYield never parks; SpinThenPark and FutexWord spin `park_spin_limit`
+// backoff rounds (FutexWord differs only in WHERE the waiter then sleeps,
+// which is the mechanism's call); AlwaysPark spins 0.
+inline bool policy_parks(WaitPolicyKind kind) noexcept {
+  return kind != WaitPolicyKind::SpinYield;
+}
+inline std::uint32_t policy_spin_budget(
+    WaitPolicyKind kind, std::uint32_t park_spin_limit) noexcept {
+  return kind == WaitPolicyKind::AlwaysPark ? 0 : park_spin_limit;
+}
+
 // Per-acquisition wait driver. Each failed acquisition attempt calls
-// step(): the policy either performs one unit of spinning/yielding and
-// returns false, or returns true to tell the caller to park on the
-// ParkingLot. Once a SpinThenPark waiter exhausts its spin budget it keeps
-// parking for the rest of the acquisition (re-spinning after every wakeup
-// would re-burn the budget against the same long-held conflict).
+// step(): the driver either performs one unit of spinning/yielding and
+// returns false, or returns true to tell the caller to park. Once a parking
+// waiter exhausts its spin budget it keeps parking for the rest of the
+// acquisition (re-spinning after every wakeup would re-burn the budget
+// against the same long-held conflict). A waiter that never parks keeps a
+// budget of 1 that is never charged, so it spins and yields forever.
 class WaitState {
  public:
-  WaitState(WaitPolicyKind kind, std::uint32_t spin_limit)
-      : kind_(kind), spins_left_(spin_limit) {}
+  WaitState(bool parks, std::uint32_t spin_budget)
+      : spins_left_(parks ? spin_budget : 1), charge_(parks ? 1 : 0) {}
 
   bool step() noexcept {
-    switch (kind_) {
-      case WaitPolicyKind::SpinYield:
-        backoff_.pause();
-        return false;
-      case WaitPolicyKind::SpinThenPark:
-      case WaitPolicyKind::FutexWord:
-        // FutexWord spins the same bounded budget; only WHERE the waiter
-        // then sleeps differs (on the packed word instead of the
-        // ParkingLot), and that is the mechanism's call, not this driver's.
-        if (spins_left_ > 0) {
-          --spins_left_;
-          backoff_.pause();
-          return false;
-        }
-        return true;
-      case WaitPolicyKind::AlwaysPark:
-        return true;
-    }
-    return false;  // unreachable
+    if (spins_left_ == 0) return true;
+    spins_left_ -= charge_;
+    backoff_.pause();
+    return false;
   }
 
   // True when the next step() can take the waiter off its CPU: it yields
-  // (spin-yield, or a spin budget past the backoff's pause rounds) or tells
-  // the caller to park. Until then the waiter only spins on its own core,
-  // so its wait costs CPU equal to its wall time and needs no CPU clock.
+  // (a backoff past its pause rounds) or tells the caller to park. Until
+  // then the waiter only spins on its own core, so its wait costs CPU equal
+  // to its wall time and needs no CPU clock.
   bool may_leave_cpu() const noexcept {
-    switch (kind_) {
-      case WaitPolicyKind::SpinYield:
-        return backoff_.yields_next();
-      case WaitPolicyKind::SpinThenPark:
-      case WaitPolicyKind::FutexWord:
-        return spins_left_ == 0 || backoff_.yields_next();
-      case WaitPolicyKind::AlwaysPark:
-        return true;
-    }
-    return true;  // unreachable
+    return spins_left_ == 0 || backoff_.yields_next();
   }
 
  private:
-  WaitPolicyKind kind_;
   std::uint32_t spins_left_;
+  std::uint32_t charge_;
   util::Backoff backoff_;
 };
 

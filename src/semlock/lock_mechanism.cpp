@@ -204,11 +204,12 @@ LockMechanism::LockMechanism(const ModeTable& table)
                    : std::make_unique<runtime::ParkingLot>(
                          table.num_partitions())),
       policy_(effective_wait_policy(table, storage_kind_)),
-      spin_limit_(table.config().park_spin_limit > 0
-                      ? static_cast<std::uint32_t>(
-                            table.config().park_spin_limit)
-                      : 0),
-      can_park_(policy_ != runtime::WaitPolicyKind::SpinYield),
+      spin_limit_(runtime::policy_spin_budget(
+          policy_, table.config().park_spin_limit > 0
+                       ? static_cast<std::uint32_t>(
+                             table.config().park_spin_limit)
+                       : 0)),
+      can_park_(runtime::policy_parks(policy_)),
       optimistic_(table.config().optimistic_acquire),
 #if defined(SEMLOCK_OBS)
       trace_(table.config().trace_events),
@@ -218,7 +219,9 @@ LockMechanism::LockMechanism(const ModeTable& table)
       futex_word_(uses_futex_word(table, storage_kind_)),
       elide_(elision_armed(table, storage_kind_)),
       grant_policy_(table.config().grant_policy),
-      bypass_bound_(table.config().bypass_bound > 0
+      // Fifo is bounded bypass with a budget of 0.
+      bypass_bound_(grant_policy_ == runtime::GrantPolicyKind::Fifo ? 0
+                    : table.config().bypass_bound > 0
                         ? static_cast<std::uint32_t>(
                               table.config().bypass_bound)
                         : 1) {
@@ -381,43 +384,26 @@ LockMechanism::PackedAttempt LockMechanism::packed_try_acquire(
       return PackedAttempt::Blocked;
     }
     if (!barrier_passed) {
+      // The barrier STATE is folded into the word's bits; the budget stays
+      // in the external GrantSlot (it does not fit the word). The state is
+      // read once per attempt series, so the budget is charged once too.
       SEMLOCK_DCT_POINT("grant.barrier", &word);
-      if ((w & layout.closed_bit[pi]) != 0) {
-        ++stats.diverted;
-        LM_OBS_EVENT(kBarrierDivert, mode);
+      const Barrier barrier = (w & layout.closed_bit[pi]) != 0 ? kClosed
+                              : (w & layout.counting_bit[pi]) != 0
+                                  ? kCounting
+                                  : kOpen;
+      if (!doorway_admits(s, partition, barrier, stats, mode)) {
         return PackedAttempt::Blocked;
       }
-      if ((w & layout.counting_bit[pi]) != 0) {
-        // BoundedBypass counting: charge the budget once per attempt
-        // series; the admission that exhausts it closes the barrier for
-        // everyone after. A straggler that loaded a stale counting bit can
-        // only over-count — the bound holds. The budget itself stays in the
-        // external GrantSlot (it does not fit the word); only the 0/1/2
-        // barrier STATE is folded into the bits.
-        GrantSlot& slot = grant_slots_[pi];
-        const std::uint32_t before =
-            slot.bypasses.fetch_add(1, std::memory_order_acq_rel);
-        if (before + 1 >= bypass_bound_) {
-          std::uint64_t cur = word.load(std::memory_order_relaxed);
-          while ((cur & layout.counting_bit[pi]) != 0 &&
-                 !word.compare_exchange_weak(
-                     cur,
-                     (cur | layout.closed_bit[pi]) & ~layout.counting_bit[pi],
-                     std::memory_order_acq_rel)) {
-          }
-        }
-        if (before >= bypass_bound_) {
-          ++stats.diverted;
-          LM_OBS_EVENT(kBarrierDivert, mode);
-          return PackedAttempt::Blocked;
-        }
-        // Admitted: like the flat doorway, a barrier that rises after this
-        // point (possibly by our own hand just above) no longer diverts us.
-        barrier_passed = true;
+      // Admitted: like the flat doorway, a barrier that rises after this
+      // point (possibly by our own charge) no longer diverts us.
+      barrier_passed = true;
+      if (barrier == kCounting) {
+        // The charge may have closed the barrier, moving the word: re-run
+        // the checks on a fresh value rather than burn a CAS on a stale one.
         w = word.load(std::memory_order_seq_cst);
         continue;
       }
-      barrier_passed = true;
     }
     // The CAS fuses announce+validate: it claims the field ONLY if the word
     // it validated is still the word it saw, so there is no transient
@@ -488,28 +474,37 @@ bool LockMechanism::try_elide(PackedStorage& s, int mode) {
   return false;
 }
 
-bool LockMechanism::fast_path_admitted(int partition, AcquireStats& stats,
-                                       int mode) {
+template <class Storage>
+bool LockMechanism::fast_path_admitted(Storage& s, int partition,
+                                       AcquireStats& stats, int mode) {
   if (grant_slots_ == nullptr) return true;
 #if defined(SEMLOCK_DCT)
   // Test-only mutation: ignore the barrier — the bypass tiers behave as
   // under Free and the no-starvation oracle must notice.
   if (dct::mutation_drop_barrier_check()) return true;
 #endif
-  GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
-  SEMLOCK_DCT_POINT("grant.barrier", &slot.barrier);
-  const std::uint32_t barrier = slot.barrier.load(std::memory_order_acquire);
-  if (barrier == 0) return true;
-  if (barrier == 1) {
-    // BoundedBypass counting: charge the budget; the admission that exhausts
-    // it closes the barrier for everyone after. A straggler that loaded
-    // barrier==1 before a reset can only over-count — the bound holds.
+  std::atomic<std::uint32_t>& barrier =
+      grant_slots_[static_cast<std::size_t>(partition)].barrier;
+  SEMLOCK_DCT_POINT("grant.barrier", &barrier);
+  return doorway_admits(
+      s, partition,
+      static_cast<Barrier>(barrier.load(std::memory_order_acquire)), stats,
+      mode);
+}
+
+template <class Storage>
+bool LockMechanism::doorway_admits(Storage& s, int partition, Barrier barrier,
+                                   AcquireStats& stats, int mode) {
+  if (barrier == kOpen) return true;
+  if (barrier == kCounting) {
+    // Charge the budget; the admission that exhausts it closes the barrier
+    // for everyone after. A straggler that read a counting state before a
+    // reset can only over-count — the bound holds.
     const std::uint32_t before =
-        slot.bypasses.fetch_add(1, std::memory_order_acq_rel);
+        grant_slots_[static_cast<std::size_t>(partition)].bypasses.fetch_add(
+            1, std::memory_order_acq_rel);
     if (before + 1 >= bypass_bound_) {
-      std::uint32_t expected = 1;
-      slot.barrier.compare_exchange_strong(expected, 2,
-                                           std::memory_order_acq_rel);
+      store_barrier(s, partition, kClosed, /*only_if_counting=*/true);
     }
     if (before < bypass_bound_) return true;
   }
@@ -519,166 +514,61 @@ bool LockMechanism::fast_path_admitted(int partition, AcquireStats& stats,
 }
 
 template <class Storage>
-std::uint64_t LockMechanism::enqueue_waiter(Storage& s, int partition) {
-  GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
-  SEMLOCK_DCT_POINT("grant.enqueue", &slot.barrier);
-  const std::uint64_t ticket =
-      slot.next_ticket.fetch_add(1, std::memory_order_relaxed);
-  ++slot.waiting;
-  // Barrier-state writes are representation-switched: flat/striped keep the
-  // PR 7 GrantSlot barrier word; packed raises the closed/counting bits in
-  // the lock word so the bypass tiers' doorway stays one load.
-  switch (grant_policy_) {
-    case runtime::GrantPolicyKind::Fifo:
-      // Strict handoff: the moment anyone queues, every bypass tier closes.
-      if constexpr (Storage::kPacked) {
-        s.word().fetch_or(s.layout().closed_bit[static_cast<std::size_t>(
-                              partition)],
-                          std::memory_order_seq_cst);
-      } else {
-        slot.barrier.store(2, std::memory_order_release);
-      }
-      break;
-    case runtime::GrantPolicyKind::PhaseFair:
-      if constexpr (Storage::kPacked) {
-        s.word().fetch_or(s.layout().closed_bit[static_cast<std::size_t>(
-                              partition)],
-                          std::memory_order_seq_cst);
-      } else {
-        slot.barrier.store(2, std::memory_order_release);
-      }
-      if (slot.phase_remaining == 0) {
-        // Open the first phase: just this waiter. Later arrivals queue for
-        // the next phase, which grant_complete sizes when this one drains.
-        slot.phase_remaining = 1;
-        slot.phase_end.store(ticket + 1, std::memory_order_release);
-      }
-      break;
-    case runtime::GrantPolicyKind::BoundedBypass:
-      if (slot.waiting == 1) {
-        // First waiter arms the counting barrier with a fresh budget —
-        // never demoting a barrier a concurrent exhaustion already closed.
-        slot.bypasses.store(0, std::memory_order_relaxed);
-        if constexpr (Storage::kPacked) {
-          const PackedLayout& layout = s.layout();
-          const auto pi = static_cast<std::size_t>(partition);
-          std::uint64_t cur = s.word().load(std::memory_order_relaxed);
-          while ((cur & layout.closed_bit[pi]) == 0 &&
-                 !s.word().compare_exchange_weak(
-                     cur, cur | layout.counting_bit[pi],
-                     std::memory_order_acq_rel)) {
-          }
-        } else {
-          std::uint32_t expected = 0;
-          slot.barrier.compare_exchange_strong(expected, 1,
-                                               std::memory_order_acq_rel);
-        }
-      }
-      break;
-    case runtime::GrantPolicyKind::Free:
-      break;
+void LockMechanism::store_barrier(Storage& s, int partition, Barrier state,
+                                  bool only_if_counting) {
+  const auto pi = static_cast<std::size_t>(partition);
+  if constexpr (Storage::kPacked) {
+    // One CAS moves both bits, so no reader sees a mixed state.
+    const PackedLayout& layout = s.layout();
+    const std::uint64_t bits = layout.closed_bit[pi] | layout.counting_bit[pi];
+    const std::uint64_t want = state == kClosed     ? layout.closed_bit[pi]
+                               : state == kCounting ? layout.counting_bit[pi]
+                                                    : 0;
+    std::uint64_t cur = s.word().load(std::memory_order_relaxed);
+    while ((cur & bits) != want &&
+           (!only_if_counting || (cur & layout.counting_bit[pi]) != 0) &&
+           !s.word().compare_exchange_weak(cur, (cur & ~bits) | want,
+                                           std::memory_order_seq_cst)) {
+    }
+  } else {
+    std::atomic<std::uint32_t>& barrier = grant_slots_[pi].barrier;
+    if (only_if_counting) {
+      std::uint32_t expected = kCounting;
+      barrier.compare_exchange_strong(expected, state,
+                                      std::memory_order_acq_rel);
+    } else {
+      barrier.store(state, std::memory_order_release);
+    }
   }
-  return ticket;
+}
+
+template <class Storage>
+void LockMechanism::rearm_barrier(Storage& s, int partition) {
+  GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
+  slot.bypasses.store(0, std::memory_order_relaxed);
+  store_barrier(s, partition,
+                slot.waiting == 0    ? kOpen
+                : bypass_bound_ == 0 ? kClosed
+                                     : kCounting);
 }
 
 bool LockMechanism::waiter_eligible(int partition,
                                     std::uint64_t ticket) const {
   if (grant_slots_ == nullptr) return true;
-  const GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
-  switch (grant_policy_) {
-    case runtime::GrantPolicyKind::Fifo:
-    case runtime::GrantPolicyKind::BoundedBypass:
-      // Tickets are unique, so once granted == ticket the cursor cannot move
-      // past us — eligibility is monotone and this lock-free read is final.
-      return slot.granted.load(std::memory_order_acquire) == ticket;
-    case runtime::GrantPolicyKind::PhaseFair:
-      // phase_end only grows, same monotonicity argument.
-      return ticket < slot.phase_end.load(std::memory_order_acquire);
-    case runtime::GrantPolicyKind::Free:
-      break;
-  }
-  return true;
-}
-
-std::atomic<std::uint64_t>& LockMechanism::turn_cursor(int partition) {
-  GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
-  return grant_policy_ == runtime::GrantPolicyKind::PhaseFair
-             ? slot.phase_end
-             : slot.granted;
-}
-
-void LockMechanism::turn_wait(int partition, std::uint64_t ticket) {
-  std::atomic<std::uint64_t>& cursor = turn_cursor(partition);
-  const std::uint64_t seen = cursor.load(std::memory_order_seq_cst);
-  const bool eligible =
-      grant_policy_ == runtime::GrantPolicyKind::PhaseFair ? ticket < seen
-                                                           : seen == ticket;
-  if (!eligible) word_wait(cursor, seen);
+  // Tickets are unique, so once granted == ticket the cursor cannot move
+  // past us — eligibility is monotone and this lock-free read is final.
+  return grant_slots_[static_cast<std::size_t>(partition)].granted.load(
+             std::memory_order_acquire) == ticket;
 }
 
 template <class Storage>
 bool LockMechanism::grant_complete(Storage& s, int partition) {
   GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
-  const auto pi = static_cast<std::size_t>(partition);
   --slot.waiting;
   slot.granted.fetch_add(1, std::memory_order_release);
-  switch (grant_policy_) {
-    case runtime::GrantPolicyKind::Fifo:
-      if (slot.waiting == 0) {
-        if constexpr (Storage::kPacked) {
-          s.word().fetch_and(~s.layout().closed_bit[pi],
-                             std::memory_order_seq_cst);
-        } else {
-          slot.barrier.store(0, std::memory_order_release);
-        }
-      }
-      break;
-    case runtime::GrantPolicyKind::PhaseFair:
-      if (--slot.phase_remaining == 0) {
-        if (slot.waiting > 0) {
-          // Phase drained with a queue behind it: everyone ticketed by now
-          // forms the next phase (commuting members overlap freely; a
-          // conflicting member simply waits its turn inside the phase).
-          slot.phase_remaining = slot.waiting;
-          slot.phase_end.store(
-              slot.next_ticket.load(std::memory_order_relaxed),
-              std::memory_order_release);
-        } else {
-          if constexpr (Storage::kPacked) {
-            s.word().fetch_and(~s.layout().closed_bit[pi],
-                               std::memory_order_seq_cst);
-          } else {
-            slot.barrier.store(0, std::memory_order_release);
-          }
-        }
-      }
-      break;
-    case runtime::GrantPolicyKind::BoundedBypass:
-      // The waiter the budget protected is gone: refresh the budget for the
-      // next one, or reopen the fast path when the queue is empty.
-      slot.bypasses.store(0, std::memory_order_relaxed);
-      if constexpr (Storage::kPacked) {
-        const PackedLayout& layout = s.layout();
-        if (slot.waiting > 0) {
-          // Re-arm counting before reopening closed; the transient
-          // closed+counting overlap can only divert conservatively.
-          s.word().fetch_or(layout.counting_bit[pi],
-                            std::memory_order_seq_cst);
-          s.word().fetch_and(~layout.closed_bit[pi],
-                             std::memory_order_seq_cst);
-        } else {
-          s.word().fetch_and(
-              ~(layout.closed_bit[pi] | layout.counting_bit[pi]),
-              std::memory_order_seq_cst);
-        }
-      } else {
-        slot.barrier.store(slot.waiting > 0 ? 1 : 0,
-                           std::memory_order_release);
-      }
-      break;
-    case runtime::GrantPolicyKind::Free:
-      break;
-  }
+  // The waiter the budget protected is gone: a fresh budget for the next
+  // one, or an open fast path when the queue is empty.
+  rearm_barrier(s, partition);
   // Waiters park against both "conflicts held" and "not my turn"; advancing
   // the cursor changes the latter, so the caller must replay the wakeup
   // (after dropping the internal lock) exactly like a releasing unlock does.
@@ -766,7 +656,7 @@ void LockMechanism::lock_impl(Storage& s, int mode,
       // partition's barrier word — a raised barrier sends this arrival to
       // the wait path.
       for (int attempt = 0; attempt < kOptimisticAttempts; ++attempt) {
-        if (!fast_path_admitted(partition, stats, mode)) break;
+        if (!fast_path_admitted(s, partition, stats, mode)) break;
         if (precheck && !conflicts_clear(s, mode)) break;
         if (announce_validate(s, mode, partition, stats)) {
           ++stats.optimistic_hits;
@@ -785,7 +675,7 @@ void LockMechanism::lock_impl(Storage& s, int mode,
     // partition's internal lock. This uncontended grant is ticketless, so
     // it is a bypass too and obeys the same barrier.
     if ((!precheck || conflicts_clear(s, mode)) &&
-        fast_path_admitted(partition, stats, mode)) {
+        fast_path_admitted(s, partition, stats, mode)) {
       internal.lock();
       if (conflicts_clear(s, mode)) {
         SEMLOCK_DCT_POINT("mode.acquire", s.dct_id(mode));
@@ -884,18 +774,23 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
 #if defined(SEMLOCK_DCT)
   dct::StarvationWaitScope starvation_scope(this, partition);
 #endif
-  // Under a non-Free grant policy this waiter takes a ticket (raising the
-  // barrier per policy) and only attempts the arbitrated grant when the
+  // Under a non-Free grant policy this waiter takes a ticket (the first
+  // one raises the barrier) and only attempts the arbitrated grant when the
   // cursor says it is its turn; the grant then hands the cursor off to the
   // next waiter. kMaxTicket marks the Free policy's ticketless waiters.
   constexpr std::uint64_t kMaxTicket = ~std::uint64_t{0};
   std::uint64_t ticket = kMaxTicket;
   if (grant_slots_ != nullptr) {
+    GrantSlot& slot = grant_slots_[static_cast<std::size_t>(partition)];
     internal.lock();
-    ticket = enqueue_waiter(s, partition);
+    SEMLOCK_DCT_POINT("grant.enqueue", &slot.barrier);
+    ticket = slot.next_ticket.fetch_add(1, std::memory_order_relaxed);
+    // Later waiters find the barrier already raised for the queue head;
+    // only a grant re-arms it (grant_complete).
+    if (++slot.waiting == 1) rearm_barrier(s, partition);
     internal.unlock();
   }
-  runtime::WaitState wait(policy_, spin_limit_);
+  runtime::WaitState wait(can_park_, spin_limit_);
   const bool precheck = table_->config().fast_path_precheck;
   for (;;) {
     const bool eligible =
@@ -934,7 +829,10 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // The cursor moved: wake the partition so the newly eligible
           // waiter re-validates instead of sleeping on a stale turn.
           wake_partition(s, partition);
-          if (futex_word_) turn_cursor(partition).notify_all();
+          if (futex_word_) {
+            grant_slots_[static_cast<std::size_t>(partition)]
+                .granted.notify_all();
+          }
           ++stats.handoffs;
           LM_OBS_EVENT(kGrantHandoff, mode);
         }
@@ -992,8 +890,7 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
           // notifies after clearing it), or it follows it (then `observed`
           // already shows the conflict clear and we retry instead of
           // sleeping). Eligibility is not in the word, so a waiter whose
-          // turn has not come sleeps on the ticket cursor instead
-          // (turn_wait), which a handoff always changes.
+          // turn has not come sleeps on the ticket cursor instead (below).
           const PackedLayout& layout = s.layout();
           const auto mi = static_cast<std::size_t>(mode);
           SEMLOCK_DCT_POINT("word.announce", &s.word());
@@ -1027,7 +924,16 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
             if (turn_ok) {
               word_wait(s.word(), observed);
             } else {
-              turn_wait(partition, ticket);
+              // Not our turn: sleep on the ticket cursor, which only grows
+              // and which a handoff notifies after moving it. On the word,
+              // a handoff clearing W and a later announcer setting it again
+              // could return the word to `observed` (ABA) and swallow the
+              // handoff's wakeup.
+              std::atomic<std::uint64_t>& cursor =
+                  grant_slots_[static_cast<std::size_t>(partition)].granted;
+              const std::uint64_t seen =
+                  cursor.load(std::memory_order_seq_cst);
+              if (seen != ticket) word_wait(cursor, seen);
             }
             ++stats.parks;
             LM_OBS_EVENT(kUnpark, mode);
@@ -1119,7 +1025,7 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
     (void)precheck;  // the CAS always validates; the knob has nothing to skip
   } else {
     if ((!precheck || conflicts_clear(s, mode)) &&
-        fast_path_admitted(partition, stats, mode)) {
+        fast_path_admitted(s, partition, stats, mode)) {
       if (optimistic_) {
         // One lock-free attempt, then one arbitrated attempt. The fallback
         // keeps try_lock as decisive as the historical path: two

@@ -42,7 +42,7 @@
 // Under a non-Free grant policy (ModeTableConfig::grant_policy,
 // src/runtime/grant_policy.h) every bypass tier additionally consults the
 // partition's barrier before acquiring: once a conflicting waiter has
-// queued (Fifo/PhaseFair) or exhausted its bypass budget (BoundedBypass),
+// queued and the bypass budget K is spent (at once under Fifo, where K = 0),
 // new arrivals — including T1 — divert to the wait path and grants hand off
 // through a ticket cursor, bounding how long a commuting flood can starve a
 // conflicting waiter (docs/RUNTIME_WAITING.md §5). With Packed storage the
@@ -196,6 +196,8 @@ class LockMechanism {
   bool has_parking_lot() const { return parking_ != nullptr; }
   runtime::WaitPolicyKind wait_policy() const { return policy_; }
   runtime::GrantPolicyKind grant_policy() const { return grant_policy_; }
+  // The effective bypass budget K: the configured bound under
+  // BoundedBypass, 0 under Fifo.
   std::uint32_t bypass_bound() const { return bypass_bound_; }
 
   // Fast-path observability (tests, docs/FAST_PATH.md examples).
@@ -212,27 +214,27 @@ class LockMechanism {
   // when the table's grant policy is not Free — with the default Free policy
   // grant_slots_ is nullptr and every fast path is the unmodified PR 3 code.
   //
-  // The barrier word is the one field the lock-free tiers read: 0 = open
-  // (commuting arrivals may acquire without queueing), 1 = BoundedBypass
-  // counting (arrivals charge `bypasses` and the K-th raises the barrier),
-  // 2 = closed (arrivals divert to the wait path). With Packed storage the
-  // barrier STATE lives in the lock word's closed/counting bits instead and
-  // this word stays 0 — the ticket and budget state here is authoritative
-  // for every storage. The ticket cursor (next_ticket/granted/phase_end) is
-  // written only under the partition's internal spinlock; waiters read it
-  // lock-free in the park re-validation, which is sound because eligibility
-  // is monotone — a ticket never becomes ineligible again before its grant.
-  // `waiting`/`phase_remaining` are plain ints touched exclusively under the
-  // internal lock.
+  // The barrier word is the one field the lock-free tiers read (Barrier
+  // below). With Packed storage the barrier STATE lives in the lock word's
+  // closed/counting bits instead and this word stays open — the ticket and
+  // budget state here is authoritative for every storage. The ticket cursor
+  // (next_ticket/granted) is written only under the partition's internal
+  // spinlock; waiters read it lock-free in the park re-validation, which is
+  // sound because eligibility is monotone — once granted == ticket the
+  // cursor cannot move before that ticket's grant. `waiting` is a plain int
+  // touched exclusively under the internal lock.
   struct alignas(util::kCacheLineSize) GrantSlot {
     std::atomic<std::uint32_t> barrier{0};
     std::atomic<std::uint32_t> bypasses{0};
     std::atomic<std::uint64_t> next_ticket{0};
     std::atomic<std::uint64_t> granted{0};
-    std::atomic<std::uint64_t> phase_end{0};
     std::uint32_t waiting = 0;
-    std::uint32_t phase_remaining = 0;
   };
+
+  // Barrier states: open (commuting arrivals may acquire without queueing),
+  // counting (arrivals charge `bypasses`; the K-th closes the barrier),
+  // closed (arrivals divert to the wait path).
+  enum Barrier : std::uint32_t { kOpen = 0, kCounting = 1, kClosed = 2 };
 
   enum class PackedAttempt { Acquired, Blocked, Contended };
 
@@ -297,33 +299,40 @@ class LockMechanism {
 
   // Doorway check for the bypass tiers (T1, the historical uncontended
   // grant, try_lock) of the flat/striped storages: may this arrival acquire
-  // without a ticket? Charges stats.diverted and emits kBarrierDivert when
-  // it says no. Lock-free; an arrival that passed the check before the
+  // without a ticket? Lock-free; an arrival that passed the check before the
   // barrier rose may still announce (the "doorway race"), which is why the
   // certified bypass bound is K plus an in-flight allowance, not exactly K.
-  // (Packed storage folds this check into packed_try_acquire.)
-  bool fast_path_admitted(int partition, AcquireStats& stats, int mode);
-  // Takes a ticket and raises the barrier per policy (in the GrantSlot or,
-  // for Packed, in the word's barrier bits). Called once per contended
-  // acquisition, under the partition's internal lock.
+  // (Packed storage reads the barrier from the word packed_try_acquire
+  // already loaded.)
   template <class Storage>
-  std::uint64_t enqueue_waiter(Storage& s, int partition);
+  bool fast_path_admitted(Storage& s, int partition, AcquireStats& stats,
+                          int mode);
+  // The doorway rule every storage shares, given the barrier state the
+  // caller read from its own representation: open admits, closed diverts,
+  // counting charges the budget and admits while it lasts. Charges
+  // stats.diverted and emits kBarrierDivert when it says no.
+  template <class Storage>
+  bool doorway_admits(Storage& s, int partition, Barrier barrier,
+                      AcquireStats& stats, int mode);
+  // Writes the barrier state in the storage's own representation: the
+  // GrantSlot word for flat/striped, the lock word's folded bits for packed.
+  // `only_if_counting` makes the move conditional on the barrier still
+  // counting (the exhausting admission must not touch a barrier a grant has
+  // since reset).
+  template <class Storage>
+  void store_barrier(Storage& s, int partition, Barrier state,
+                     bool only_if_counting = false);
+  // The one grant rule, under the internal lock: while waiters are queued
+  // the barrier is closed if K = 0, else counting with a fresh budget; with
+  // the queue empty it is open.
+  template <class Storage>
+  void rearm_barrier(Storage& s, int partition);
   // May the holder of `ticket` attempt the arbitrated grant now? Lock-free
   // and monotone (see GrantSlot).
   bool waiter_eligible(int partition, std::uint64_t ticket) const;
-  // Futex-word waiters whose turn has not come sleep on the partition's
-  // ticket cursor (granted, or phase_end under PhaseFair), which only grows,
-  // instead of on the lock word: the turn lives outside the word, so between
-  // the waiter's announce and its sleep a handoff could clear the waiters
-  // bit and a later announcer set it again, returning the word to the exact
-  // value observed (ABA) and swallowing the handoff's wakeup. Returns at
-  // once when the cursor already shows the turn; a handoff notifies the
-  // cursor after moving it.
-  void turn_wait(int partition, std::uint64_t ticket);
-  std::atomic<std::uint64_t>& turn_cursor(int partition);
   // Bookkeeping after a ticketed grant, under the internal lock: advances
-  // the cursor, re-arms or drops the barrier, and returns whether the caller
-  // must wake the partition so the next eligible waiter re-validates.
+  // the cursor, re-arms the barrier, and returns whether the caller must
+  // wake the partition so the next eligible waiter re-validates.
   template <class Storage>
   bool grant_complete(Storage& s, int partition);
   // Wake every waiter of `partition`: ParkingLot unpark, or the futex-word
@@ -342,6 +351,7 @@ class LockMechanism {
   // weight at "millions of instances" scale.
   std::unique_ptr<runtime::ParkingLot> parking_;
   runtime::WaitPolicyKind policy_;
+  // The wait driver's spin budget: park_spin_limit, or 0 under AlwaysPark.
   std::uint32_t spin_limit_;
   // False under SpinYield: unlock skips the wakeup fence entirely, keeping
   // the historical release path (one relaxed RMW) intact.
@@ -353,6 +363,7 @@ class LockMechanism {
   // HTM elision tier armed (see elision_enabled()).
   bool elide_;
   runtime::GrantPolicyKind grant_policy_;
+  // Effective bypass budget K (0 under Fifo).
   std::uint32_t bypass_bound_;
   // One slot per conflict partition; nullptr under the Free policy.
   std::unique_ptr<GrantSlot[]> grant_slots_;

@@ -83,14 +83,15 @@ struct ModeTableConfig {
   // parks on the partition's futex. Higher values favor latency over CPU.
   int park_spin_limit = 64;
   // WHO gets the lock next once waiters exist (src/runtime/grant_policy.h):
-  // Free is the historical unbounded-bypass behavior; Fifo/PhaseFair/
-  // BoundedBypass bound how often commuting arrivals (including the
+  // Free is the historical unbounded-bypass behavior; BoundedBypass (and
+  // Fifo, its K = 0 case) bound how often commuting arrivals (including the
   // optimistic tier) may overtake a conflicting waiter. Defaults to the
   // ambient process policy: ScopedGrantPolicy if installed, else
   // SEMLOCK_GRANT_POLICY, else Free.
   runtime::GrantPolicyKind grant_policy = runtime::default_grant_policy();
   // BoundedBypass budget K: commuting arrivals granted past the oldest
   // waiter before the barrier rises (SEMLOCK_BYPASS_BOUND, default 16).
+  // Ignored under Fifo, which always runs with K = 0.
   int bypass_bound = static_cast<int>(runtime::default_bypass_bound());
   // Lock-free fast path (docs/FAST_PATH.md). With optimistic_acquire, lock()
   // and try_lock() announce by incrementing the mode's counter BEFORE

@@ -125,10 +125,6 @@ TEST(GrantPolicyEnv, ParsesEveryRecognizedNameAndShorthand) {
               GrantPolicyKind::Fifo);
     EXPECT_EQ(runtime::grant_policy_from_env_text("ticket"),
               GrantPolicyKind::Fifo);
-    EXPECT_EQ(runtime::grant_policy_from_env_text("phase-fair"),
-              GrantPolicyKind::PhaseFair);
-    EXPECT_EQ(runtime::grant_policy_from_env_text("pf"),
-              GrantPolicyKind::PhaseFair);
     EXPECT_EQ(runtime::grant_policy_from_env_text("bounded-bypass"),
               GrantPolicyKind::BoundedBypass);
     EXPECT_EQ(runtime::grant_policy_from_env_text("bb"),
@@ -141,13 +137,18 @@ TEST(GrantPolicyEnv, ParsesEveryRecognizedNameAndShorthand) {
 }
 
 TEST(GrantPolicyEnv, TypoWarnsAndFallsBackToFree) {
-  const std::string err = captured_stderr([] {
-    EXPECT_EQ(runtime::grant_policy_from_env_text("fifoo"),
-              runtime::GrantPolicyKind::Free);
-  });
-  EXPECT_NE(err.find("SEMLOCK_GRANT_POLICY=\"fifoo\""), std::string::npos)
-      << err;
-  EXPECT_NE(err.find("free"), std::string::npos) << err;
+  // The removed phase-fair policy's names read as typos too.
+  for (const char* text : {"fifoo", "phase-fair", "phasefair", "pf"}) {
+    const std::string err = captured_stderr([text] {
+      EXPECT_EQ(runtime::grant_policy_from_env_text(text),
+                runtime::GrantPolicyKind::Free)
+          << text;
+    });
+    EXPECT_NE(err.find("SEMLOCK_GRANT_POLICY=\"" + std::string(text) + "\""),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("free"), std::string::npos) << err;
+  }
 }
 
 TEST(GrantPolicyEnv, EmptyWarnsAndFallsBack) {
@@ -162,7 +163,7 @@ TEST(GrantPolicyEnv, NamesRoundTripThroughParse) {
   using runtime::GrantPolicyKind;
   for (const GrantPolicyKind kind :
        {GrantPolicyKind::Free, GrantPolicyKind::Fifo,
-        GrantPolicyKind::PhaseFair, GrantPolicyKind::BoundedBypass}) {
+        GrantPolicyKind::BoundedBypass}) {
     const auto parsed =
         runtime::parse_grant_policy(runtime::grant_policy_name(kind));
     ASSERT_TRUE(parsed.has_value()) << runtime::grant_policy_name(kind);
@@ -181,9 +182,10 @@ TEST(GrantPolicyEnv, ScopedOverrideFlowsIntoConfigDefaults) {
     runtime::ScopedGrantPolicy outer(runtime::GrantPolicyKind::Fifo);
     EXPECT_EQ(ModeTableConfig{}.grant_policy, runtime::GrantPolicyKind::Fifo);
     {
-      runtime::ScopedGrantPolicy inner(runtime::GrantPolicyKind::PhaseFair);
+      runtime::ScopedGrantPolicy inner(
+          runtime::GrantPolicyKind::BoundedBypass);
       EXPECT_EQ(ModeTableConfig{}.grant_policy,
-                runtime::GrantPolicyKind::PhaseFair);
+                runtime::GrantPolicyKind::BoundedBypass);
     }
     EXPECT_EQ(ModeTableConfig{}.grant_policy, runtime::GrantPolicyKind::Fifo);
   }

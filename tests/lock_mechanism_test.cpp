@@ -510,10 +510,10 @@ TEST(GrantPolicy, TryLockRefusesUnderRaisedBarrierAndBarrierReopens) {
 
 TEST(GrantPolicy, ChurnDrainsToQuiescenceUnderEveryPolicy) {
   // The MutualExclusionUnderChurn workload under each fair policy: the
-  // ticket/phase/barrier machinery must preserve mutual exclusion and leave
+  // ticket/barrier machinery must preserve mutual exclusion and leave
   // zero holders and an open fast path at quiescence.
   for (const runtime::GrantPolicyKind policy :
-       {runtime::GrantPolicyKind::Fifo, runtime::GrantPolicyKind::PhaseFair,
+       {runtime::GrantPolicyKind::Fifo,
         runtime::GrantPolicyKind::BoundedBypass}) {
     const auto t = make_grant_table(policy, /*bound=*/2);
     LockMechanism m(t);
@@ -571,6 +571,13 @@ TEST(GrantPolicy, FreePolicyAllocatesNoGrantSlots) {
   LockMechanism mb(tb);
   EXPECT_EQ(mb.grant_policy(), runtime::GrantPolicyKind::BoundedBypass);
   EXPECT_EQ(mb.bypass_bound(), 7u);
+
+  // Fifo is bounded bypass with a budget of 0, whatever the configured K.
+  const auto tf = make_grant_table(runtime::GrantPolicyKind::Fifo,
+                                   /*bound=*/7);
+  LockMechanism mf(tf);
+  EXPECT_EQ(mf.grant_policy(), runtime::GrantPolicyKind::Fifo);
+  EXPECT_EQ(mf.bypass_bound(), 0u);
 }
 
 }  // namespace

@@ -282,7 +282,7 @@ TEST(PackedStorageTest, GrantBarrierBitsPreserveFairnessMachinery) {
   // into the word's spare bits: every fair policy must still exclude,
   // drain, and leave the fast path open.
   for (const runtime::GrantPolicyKind policy :
-       {runtime::GrantPolicyKind::Fifo, runtime::GrantPolicyKind::PhaseFair,
+       {runtime::GrantPolicyKind::Fifo,
         runtime::GrantPolicyKind::BoundedBypass}) {
     ModeTableConfig c;
     c.storage = StorageKind::Packed;

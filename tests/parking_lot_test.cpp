@@ -24,6 +24,12 @@ using commute::var;
 using runtime::ParkingLot;
 using runtime::WaitPolicyKind;
 
+// The driver `kind` runs, exactly as LockMechanism builds it.
+runtime::WaitState driver(WaitPolicyKind kind, std::uint32_t park_spin_limit) {
+  return runtime::WaitState(runtime::policy_parks(kind),
+                            runtime::policy_spin_budget(kind, park_spin_limit));
+}
+
 ModeTable make_set_table(WaitPolicyKind policy, int n = 4,
                          int park_spin_limit = 64) {
   ModeTableConfig c;
@@ -67,17 +73,17 @@ TEST(WaitPolicy, ScopedOverrideSetsModeTableConfigDefault) {
 }
 
 TEST(WaitPolicy, WaitStateSchedule) {
-  runtime::WaitState spin(WaitPolicyKind::SpinYield, 0);
+  runtime::WaitState spin = driver(WaitPolicyKind::SpinYield, 0);
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(spin.step());
 
-  runtime::WaitState adaptive(WaitPolicyKind::SpinThenPark, 3);
+  runtime::WaitState adaptive = driver(WaitPolicyKind::SpinThenPark, 3);
   EXPECT_FALSE(adaptive.step());
   EXPECT_FALSE(adaptive.step());
   EXPECT_FALSE(adaptive.step());
   EXPECT_TRUE(adaptive.step());  // budget exhausted: park from now on
   EXPECT_TRUE(adaptive.step());
 
-  runtime::WaitState eager(WaitPolicyKind::AlwaysPark, 1000);
+  runtime::WaitState eager = driver(WaitPolicyKind::AlwaysPark, 1000);
   EXPECT_TRUE(eager.step());
 }
 
@@ -86,7 +92,7 @@ TEST(WaitPolicy, WaitStateSchedule) {
 // the thread-CPU clock there and charges wall time as CPU before it.
 TEST(WaitPolicy, MayLeaveCpuSchedule) {
   // spin-yield: 8 backoff rounds of pause (1 + 2 + ... + 128), then yields.
-  runtime::WaitState spin(WaitPolicyKind::SpinYield, 0);
+  runtime::WaitState spin = driver(WaitPolicyKind::SpinYield, 0);
   for (int i = 0; i < 8; ++i) {
     EXPECT_FALSE(spin.may_leave_cpu()) << "step " << i;
     EXPECT_FALSE(spin.step());
@@ -98,7 +104,7 @@ TEST(WaitPolicy, MayLeaveCpuSchedule) {
 
   // spin-then-park with a budget shorter than the pause rounds: true once
   // the budget is spent, i.e. at the step that parks.
-  runtime::WaitState adaptive(WaitPolicyKind::SpinThenPark, 3);
+  runtime::WaitState adaptive = driver(WaitPolicyKind::SpinThenPark, 3);
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(adaptive.may_leave_cpu()) << "step " << i;
     EXPECT_FALSE(adaptive.step());
@@ -108,15 +114,36 @@ TEST(WaitPolicy, MayLeaveCpuSchedule) {
   EXPECT_TRUE(adaptive.may_leave_cpu());
 
   // A budget longer than the pause rounds yields before it parks.
-  runtime::WaitState long_budget(WaitPolicyKind::SpinThenPark, 64);
+  runtime::WaitState long_budget = driver(WaitPolicyKind::SpinThenPark, 64);
   for (int i = 0; i < 8; ++i) {
     EXPECT_FALSE(long_budget.may_leave_cpu()) << "step " << i;
     EXPECT_FALSE(long_budget.step());
   }
   EXPECT_TRUE(long_budget.may_leave_cpu());
 
-  runtime::WaitState eager(WaitPolicyKind::AlwaysPark, 1000);
+  runtime::WaitState eager = driver(WaitPolicyKind::AlwaysPark, 1000);
   EXPECT_TRUE(eager.may_leave_cpu());
+
+  // One driver for every policy: AlwaysPark is SpinThenPark with a budget
+  // of 0, and FutexWord is SpinThenPark (only where it sleeps differs).
+  // Equal means the same step() and may_leave_cpu() answers, step by step.
+  const auto same_schedule = [](runtime::WaitState a, runtime::WaitState b) {
+    for (int i = 0; i < 200; ++i) {
+      if (a.may_leave_cpu() != b.may_leave_cpu()) return false;
+      if (a.step() != b.step()) return false;
+    }
+    return true;
+  };
+  for (const std::uint32_t limit : {0u, 3u, 64u}) {
+    EXPECT_TRUE(same_schedule(driver(WaitPolicyKind::AlwaysPark, limit),
+                              driver(WaitPolicyKind::SpinThenPark, 0)))
+        << limit;
+    EXPECT_TRUE(same_schedule(driver(WaitPolicyKind::FutexWord, limit),
+                              driver(WaitPolicyKind::SpinThenPark, limit)))
+        << limit;
+  }
+  EXPECT_FALSE(same_schedule(driver(WaitPolicyKind::SpinYield, 3),
+                             driver(WaitPolicyKind::SpinThenPark, 3)));
 }
 
 TEST(ParkingLot, GenerationAndParkedAccounting) {
