@@ -172,7 +172,7 @@ inline std::string run_metadata_json() {
                 "\"wait_policy\": \"%s\", \"optimistic\": %s, "
                 "\"stripes\": %d, \"grant_policy\": \"%s\", "
                 "\"bypass_bound\": %u, \"storage\": \"%s\", "
-                "\"elision\": %s, \"scaling_claims\": \"%s\"}",
+                "\"scaling_claims\": \"%s\"}",
                 std::thread::hardware_concurrency(),
                 std::thread::hardware_concurrency(), scale_factor(),
                 runtime::wait_policy_name(runtime::default_wait_policy()),
@@ -184,7 +184,6 @@ inline std::string run_metadata_json() {
                 runtime::grant_policy_name(runtime::default_grant_policy()),
                 static_cast<unsigned>(runtime::default_bypass_bound()),
                 storage_kind_name(default_storage()),
-                default_elide_locks() ? "true" : "false",
                 scaling_claims().c_str());
   out += buf;
   return out;

@@ -37,35 +37,47 @@ struct Control {
   std::size_t trace_limit = 0;
 };
 
-thread_local std::shared_ptr<Control> tls_ctl;
-thread_local int tls_tid = -1;
+// The calling thread's seat in a running schedule. A virtual thread
+// finishes when this object is destroyed, not when its body returns: it is
+// constant-initialized, so its destructor runs after those of every
+// thread_local the body created. Thread-exit code such as the obs registry
+// retirement, which takes a hooked spinlock, thus stays part of the
+// schedule. Run unscheduled, it could hold that lock while the controller
+// evaluated a blocked peer's predicate, and the schedule was declared a
+// deadlock although nothing was stuck.
+struct VirtualThread {
+  std::shared_ptr<Control> ctl;
+  int tid = -1;
 
-void worker_main(std::shared_ptr<Control> ctl, int tid,
-                 std::function<void()> body) {
-  tls_ctl = ctl;
-  tls_tid = tid;
-  {
-    std::unique_lock lk(ctl->mu);
-    ctl->cv.wait(lk, [&] { return ctl->running == tid; });
-  }
-  body();
-  {
+  ~VirtualThread() {
+    if (ctl == nullptr) return;  // not a virtual thread
     std::unique_lock lk(ctl->mu);
     ctl->threads[static_cast<std::size_t>(tid)].st = ThreadRec::St::Finished;
     ++ctl->finished;
     ctl->running = -1;
     ctl->cv.notify_all();
   }
-  tls_ctl.reset();
-  tls_tid = -1;
+};
+
+thread_local VirtualThread tls_vt;
+
+void worker_main(std::shared_ptr<Control> ctl, int tid,
+                 std::function<void()> body) {
+  tls_vt.ctl = ctl;
+  tls_vt.tid = tid;
+  {
+    std::unique_lock lk(ctl->mu);
+    ctl->cv.wait(lk, [&] { return ctl->running == tid; });
+  }
+  body();
 }
 
 // Parks the calling virtual thread (Ready if it can be re-granted at will,
 // Blocked with `pred` otherwise) and waits to be granted the next step.
 void surrender(const char* point, const void* object,
                std::function<bool()> pred) {
-  std::shared_ptr<Control> ctl = tls_ctl;  // keep alive across the wait
-  const int tid = tls_tid;
+  std::shared_ptr<Control> ctl = tls_vt.ctl;  // keep alive across the wait
+  const int tid = tls_vt.tid;
   std::unique_lock lk(ctl->mu);
   ThreadRec& me = ctl->threads[static_cast<std::size_t>(tid)];
   me.st = pred ? ThreadRec::St::Blocked : ThreadRec::St::Ready;
@@ -86,7 +98,7 @@ std::atomic<bool> g_mutation_drop_packed_mask_check{false};
 
 }  // namespace
 
-bool scheduled() noexcept { return tls_ctl != nullptr; }
+bool scheduled() noexcept { return tls_vt.ctl != nullptr; }
 
 void sched_point(const char* point, const void* object) {
   surrender(point, object, nullptr);

@@ -6,8 +6,10 @@
 // under SEMLOCK_DCT and free when no tracker is installed:
 //
 //   - StarvationWaitScope: RAII around one contended wait episode in
-//     LockMechanism::lock_contended. Registered when the waiter enters the
-//     wait loop; granted() closes the episode and charges one bypass to
+//     LockMechanism::lock_contended. Registered at the waiter's doorway:
+//     its ticket draw under a fair policy (so episodes register in ticket
+//     order), wait-loop entry under Free. granted(), called under the lock
+//     that granted the mode, closes the episode and charges one bypass to
 //     every EARLIER-registered episode still waiting on the same
 //     (mechanism, partition) — those are exactly the waiters this grant
 //     overtook. Later-registered waiters were behind it all along, so a
@@ -20,9 +22,9 @@
 // A workload installs a StarvationTracker for the duration of a schedule and
 // asserts on max_bypasses() in its check() function: the oracle fails the
 // schedule when any single wait episode was overtaken more often than the
-// policy's certified bound — K plus the in-flight doorway allowance (a
-// thread that passed the barrier check before the barrier rose may still
-// announce once), see tests/dct_mutation_test.cpp.
+// policy's certified bound — K per queue head plus the in-flight doorway
+// allowance (a thread that passed the barrier check before the barrier rose
+// may still announce once), see runtime/grant_policy.h.
 //
 // Virtual DCT threads are real std::threads serialized by the Scheduler, so
 // the tracker's mutex is never contended; it exists for the non-scheduled

@@ -6,9 +6,10 @@
 #include "dct/hooks.h"
 #include "runtime/wait_registry.h"
 #include "util/align.h"
-#include "util/htm.h"
 
 #if defined(SEMLOCK_DCT)
+#include <optional>
+
 #include "dct/starvation.h"
 // Grant hook for the DCT no-starvation oracle: every grant on a partition
 // bumps the bypass count of the wait episodes still queued there. Compiles
@@ -120,44 +121,6 @@ bool uses_futex_word(const ModeTable& table, StorageKind kind) {
              runtime::WaitPolicyKind::FutexWord;
 }
 
-bool elision_armed(const ModeTable& table, StorageKind kind) {
-#if defined(SEMLOCK_DCT)
-  // A hardware transaction cannot surrender at schedule points (everything
-  // inside it is invisible until commit), so elision is never armed under
-  // the DCT harness — the deterministic schedules exercise the software
-  // tiers only.
-  (void)table;
-  (void)kind;
-  return false;
-#else
-  return table.config().elide_locks && kind == StorageKind::Packed &&
-         util::htm_compiled && util::htm_supported();
-#endif
-}
-
-// T0 elision bookkeeping. The slot is WRITTEN inside the hardware
-// transaction, so an abort rolls it back — `active` is truthful on every
-// path. One slot per thread suffices because a nested acquisition inside an
-// elided section aborts the transaction instead of stacking.
-struct ElisionSlot {
-  const void* mech = nullptr;
-  int mode = -1;
-  bool active = false;
-};
-
-ElisionSlot& elision_slot() noexcept {
-  thread_local ElisionSlot slot;
-  return slot;
-}
-
-// Abort-streak backoff: after this many consecutive failed elision attempts,
-// skip elision entirely for the next kElisionPausePeriod acquisitions —
-// a workload whose sections genuinely conflict (or overflow the HTM write
-// set) must not pay the begin/abort tax on every lock.
-constexpr int kElisionRetries = 3;
-constexpr std::uint32_t kElisionAbortThreshold = 4;
-constexpr std::uint32_t kElisionPausePeriod = 64;
-
 }  // namespace
 
 AcquireStats& local_acquire_stats() {
@@ -217,7 +180,6 @@ LockMechanism::LockMechanism(const ModeTable& table)
       trace_(false),
 #endif
       futex_word_(uses_futex_word(table, storage_kind_)),
-      elide_(elision_armed(table, storage_kind_)),
       grant_policy_(table.config().grant_policy),
       // Fifo is bounded bypass with a budget of 0.
       bypass_bound_(grant_policy_ == runtime::GrantPolicyKind::Fifo ? 0
@@ -430,50 +392,6 @@ void LockMechanism::word_wait(std::atomic<std::uint64_t>& word,
   word.wait(observed, std::memory_order_seq_cst);
 }
 
-bool LockMechanism::try_elide(PackedStorage& s, int mode) {
-  if (!util::htm_compiled) return false;
-  ElisionSlot& slot = elision_slot();
-  if (slot.active) {
-    // Nested acquisition inside an elided section (of this or any other
-    // mechanism): abort back to the outer htm_begin, whose retry logic
-    // falls back to the real path; the rollback resets slot.active.
-    util::htm_abort();
-    return false;  // not reached while a transaction is live
-  }
-  const std::uint32_t pause =
-      elision_pause_.load(std::memory_order_relaxed);
-  if (pause != 0) {
-    elision_pause_.store(pause - 1, std::memory_order_relaxed);
-    return false;
-  }
-  for (int attempt = 0; attempt < kElisionRetries; ++attempt) {
-    const unsigned code = util::htm_begin();
-    if (code == util::kHtmStarted) {
-      if (s.word().load(std::memory_order_relaxed) != 0) {
-        // The word is busy — a real holder, waiter bit, or barrier bit
-        // exists — so elision would have to reason about conflicts it
-        // cannot see. Abort (explicit, non-retryable) back to htm_begin.
-        util::htm_abort();
-      }
-      // Quiescent word in the read set: any concurrent real acquisition
-      // CASes the word and aborts this transaction, and vice versa this
-      // section publishes nothing until commit. Serializable by hardware.
-      slot.mech = this;
-      slot.mode = mode;
-      slot.active = true;
-      return true;
-    }
-    if (!util::htm_retryable(code)) break;
-  }
-  const std::uint32_t streak =
-      elision_aborts_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (streak >= kElisionAbortThreshold) {
-    elision_aborts_.store(0, std::memory_order_relaxed);
-    elision_pause_.store(kElisionPausePeriod, std::memory_order_relaxed);
-  }
-  return false;
-}
-
 template <class Storage>
 bool LockMechanism::fast_path_admitted(Storage& s, int partition,
                                        AcquireStats& stats, int mode) {
@@ -610,8 +528,6 @@ void LockMechanism::lock_impl(Storage& s, int mode,
       partition_locks_[static_cast<std::size_t>(partition)];
   const bool precheck = table_->config().fast_path_precheck;
   if constexpr (Storage::kPacked) {
-    // Tier T0: hardware elision — no counter write at all when it commits.
-    if (elide_ && try_elide(s, mode)) return;
     if (optimistic_) {
       // Tier T1: the packed CAS already validates, honors the folded
       // barrier bits, and cannot leave a transient announcement, so the
@@ -772,7 +688,12 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
   runtime::WaitScope wait_scope(this, mode, partition, wait_start);
 #endif
 #if defined(SEMLOCK_DCT)
-  dct::StarvationWaitScope starvation_scope(this, partition);
+  // The oracle's wait episode opens at this waiter's doorway: here under
+  // Free, else at the ticket draw below, in the critical section that
+  // raises the barrier, so episodes register in ticket order and a grant
+  // before the waiter queued is not charged to it.
+  std::optional<dct::StarvationWaitScope> starvation_scope;
+  if (grant_slots_ == nullptr) starvation_scope.emplace(this, partition);
 #endif
   // Under a non-Free grant policy this waiter takes a ticket (the first
   // one raises the barrier) and only attempts the arbitrated grant when the
@@ -788,6 +709,9 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
     // Later waiters find the barrier already raised for the queue head;
     // only a grant re-arms it (grant_complete).
     if (++slot.waiting == 1) rearm_barrier(s, partition);
+#if defined(SEMLOCK_DCT)
+    starvation_scope.emplace(this, partition);
+#endif
     internal.unlock();
   }
   runtime::WaitState wait(can_park_, spin_limit_);
@@ -823,6 +747,15 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
       if (acquired && ticket != kMaxTicket) {
         handoff = grant_complete(s, partition);
       }
+#if defined(SEMLOCK_DCT)
+      // A contended grant is an overtake only of waiters that registered
+      // BEFORE this one (granted() bumps exactly those); the unconditional
+      // LM_DCT_GRANT is for the fast-path sites, where the grantee arrived
+      // later than every registered waiter by definition. Closed here, under
+      // the lock that granted it, so grants after this one are not charged
+      // to a waiter that already holds the mode.
+      if (acquired) starvation_scope->granted();
+#endif
       internal.unlock();
       if (acquired) {
         if (handoff) {
@@ -851,13 +784,6 @@ void LockMechanism::lock_contended(Storage& s, int mode, int partition,
                       : waited;
         LM_OBS_EVENT(kAcquireGrant, mode);
         LM_ATTR_GRANT(mode, args);
-#if defined(SEMLOCK_DCT)
-        // A contended grant is an overtake only of waiters that entered the
-        // wait loop BEFORE this one (granted() bumps exactly those); the
-        // unconditional LM_DCT_GRANT is for the fast-path sites, where the
-        // grantee arrived later than every registered waiter by definition.
-        starvation_scope.granted();
-#endif
 #if defined(SEMLOCK_OBS)
         if (trace_) obs::record_wait(this, mode, waited);
         if (span_on) {
@@ -1076,16 +1002,6 @@ bool LockMechanism::try_lock_impl(Storage& s, int mode,
 template <class Storage>
 void LockMechanism::unlock_impl(Storage& s, int mode) {
   if constexpr (Storage::kPacked) {
-    if (elide_) {
-      ElisionSlot& slot = elision_slot();
-      if (slot.active && slot.mech == this && slot.mode == mode) {
-        // Elided section: commit the hardware transaction. Nothing was
-        // written to the word, so there is nobody to wake.
-        slot.active = false;
-        util::htm_end();
-        return;
-      }
-    }
     LM_OBS_EVENT(kRelease, mode);
     const PackedLayout& layout = s.layout();
     const auto mi = static_cast<std::size_t>(mode);

@@ -6,12 +6,8 @@
 // mode table: Flat (one atomic per mode, the paper's layout), Striped
 // (PR 3's banks for self-commuting modes), or Packed (the whole table in
 // one 64-bit word with compiled conflict masks). Acquisition runs through
-// up to four tiers (docs/FAST_PATH.md):
+// up to three tiers (docs/FAST_PATH.md):
 //
-//   T0 (elision, optional): under the SEMLOCK_ELISION build with RTM/TME
-//      hardware and a Packed table, run the critical section as a hardware
-//      transaction with the quiescent lock word in the read set — no
-//      counter is written at all; an abort falls back to T1.
 //   T1 (optimistic, default): announce by incrementing C_l, seq_cst fence,
 //      validate that the conflicting counters are clear; retract + replay
 //      the wakeup handshake on failure, with a few randomized-backoff
@@ -176,11 +172,6 @@ class LockMechanism {
   // canonical modes) falls back to Flat.
   StorageKind storage() const { return storage_kind_; }
 
-  // True when the HTM elision tier is armed: ModeTableConfig::elide_locks,
-  // the SEMLOCK_ELISION build, runtime RTM/TME support, and Packed storage
-  // all present. (docs/FAST_PATH.md §8.)
-  bool elision_enabled() const { return elide_; }
-
   // Total per-instance memory of this mechanism: the object itself plus
   // every heap allocation it owns (counter storage, partition locks,
   // ParkingLot, grant slots, attribution records). Logical bytes as
@@ -292,11 +283,6 @@ class LockMechanism {
   static void word_wait(std::atomic<std::uint64_t>& word,
                         std::uint64_t observed);
 
-  // T0: attempt to elide the acquisition entirely as a hardware transaction
-  // (util/htm.h). True when the caller is now inside a live transaction
-  // with the word in its read set; unlock_impl commits it.
-  bool try_elide(PackedStorage& s, int mode);
-
   // Doorway check for the bypass tiers (T1, the historical uncontended
   // grant, try_lock) of the flat/striped storages: may this arrival acquire
   // without a ticket? Lock-free; an arrival that passed the check before the
@@ -360,17 +346,11 @@ class LockMechanism {
   bool trace_;
   // Packed + futex-word: waiters sleep on the word (parking_ is null).
   bool futex_word_;
-  // HTM elision tier armed (see elision_enabled()).
-  bool elide_;
   runtime::GrantPolicyKind grant_policy_;
   // Effective bypass budget K (0 under Fifo).
   std::uint32_t bypass_bound_;
   // One slot per conflict partition; nullptr under the Free policy.
   std::unique_ptr<GrantSlot[]> grant_slots_;
-  // Elision abort backoff: aborts in the current streak, and how many
-  // acquisitions must pass before elision is attempted again.
-  std::atomic<std::uint32_t> elision_aborts_{0};
-  std::atomic<std::uint32_t> elision_pause_{0};
 #if defined(SEMLOCK_OBS)
   // One seqlock-protected last-acquirer record per mode, allocated only when
   // this mechanism traces (nullptr otherwise). Written at every grant that

@@ -49,13 +49,6 @@ StorageKind storage_from_env_text(const char* text) {
   return StorageKind::Flat;
 }
 
-bool elision_from_env_text(const char* text) {
-  if (text == nullptr) return false;
-  const auto parsed =
-      util::env_bool_01("SEMLOCK_ELISION", text, "elision off");
-  return parsed ? *parsed : false;
-}
-
 namespace {
 
 // Read each variable once per process: the knobs gate code paths chosen at
@@ -79,19 +72,12 @@ StorageKind env_storage() {
   return value;
 }
 
-bool env_elide_locks() {
-  static const bool value =
-      elision_from_env_text(std::getenv("SEMLOCK_ELISION"));
-  return value;
-}
-
 }  // namespace
 
 bool default_optimistic_acquire() { return env_optimistic_acquire(); }
 bool default_stripe_self_commuting() { return env_stripe_choice().enabled; }
 int default_counter_stripes() { return env_stripe_choice().stripes; }
 StorageKind default_storage() { return env_storage(); }
-bool default_elide_locks() { return env_elide_locks(); }
 
 bool default_trace_events() {
 #if defined(SEMLOCK_OBS)
@@ -430,9 +416,6 @@ ModeTable ModeTable::compile(const AdtSpec& spec,
             conflict |= l.field_mask[static_cast<std::size_t>(other)];
           }
           l.conflict_mask[mi] = conflict;
-          l.doorway_mask[mi] =
-              conflict |
-              l.closed_bit[static_cast<std::size_t>(table.partition_[mi])];
         }
         table.packed_ok_ = true;
       }

@@ -115,11 +115,8 @@ struct ModeTableConfig {
   // in one 64-bit word, falling back to Flat when the table has more than
   // kMaxPackedModes modes). SEMLOCK_STORAGE overrides the default.
   StorageKind storage = default_storage();
-  // Arm the HTM lock-elision tier above the optimistic path for Packed
-  // mechanisms (docs/FAST_PATH.md §8). Requires the SEMLOCK_ELISION build
-  // option and runtime RTM/TME support — without them the flag is inert.
-  // SEMLOCK_ELISION=0|1 sets the default; off otherwise.
-  bool elide_locks = default_elide_locks();
+  // Always false: no elision tier exists; perfbench's config stamp prints it.
+  static constexpr bool elide_locks = false;
   // Emit binary trace events and conflict/latency metrics from mechanisms
   // built over this table (src/obs, docs/OBSERVABILITY.md). Cached by the
   // LockMechanism at construction; defaults to the ambient trace switch so

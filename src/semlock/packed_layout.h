@@ -13,9 +13,10 @@
 // its all-ones value (`field_max`) is SATURATED and further acquisitions of
 // that mode divert to the arbitrated/wait tier until a release drops it.
 // The per-partition closed/counting bits mirror the grant-policy barrier
-// states of GrantSlot::barrier (docs/RUNTIME_WAITING.md §5) so the T1
-// doorway check — "no conflicting holder AND my partition's barrier is
-// open" — stays a single `word & doorway_mask[m]` test on one load. Bit 63
+// states of GrantSlot::barrier (docs/RUNTIME_WAITING.md §5), so the T1
+// doorway reads everything from one load: `word & conflict_mask[m]`, then
+// the saturation test, then the barrier bits through the shared doorway
+// rule (a counting barrier charges its external budget). Bit 63
 // (W) is the futex-word waiters-present bit: set by waiters before they
 // sleep on the word via std::atomic::wait, cleared (then notify_all) by the
 // wakeup paths, the classic futex-mutex protocol.
@@ -50,9 +51,6 @@ struct PackedLayout {
   // nonzero iff some conflicting mode (possibly m itself, when
   // self-conflicting) is held. This is conflicts_clear(m) as one AND.
   std::array<std::uint64_t, kMaxPackedModes> conflict_mask{};
-  // conflict_mask[m] | closed_bit[partition_of(m)]: the bypass-tier doorway
-  // check (conflicts clear AND barrier open) as one AND.
-  std::array<std::uint64_t, kMaxPackedModes> doorway_mask{};
   // Grant-barrier state bits, indexed by partition: closed == barrier state
   // 2 (arrivals divert), counting == state 1 (BoundedBypass budget
   // charging). Both clear == open.

@@ -67,15 +67,4 @@ StorageKind storage_from_env_text(const char* text);
 // Flat.
 StorageKind default_storage();
 
-// Resolves SEMLOCK_ELISION text: strict "0"/"1" per util::env_bool_01;
-// malformed values warn and fall back to off. Elision additionally requires
-// the SEMLOCK_ELISION CMake option (which compiles the HTM tier in,
-// util/htm.h) and runtime hardware support — the knob alone never fails, it
-// just arms the tier where it exists.
-bool elision_from_env_text(const char* text);
-
-// Process-wide default for ModeTableConfig::elide_locks: SEMLOCK_ELISION
-// (parsed once), else off.
-bool default_elide_locks();
-
 }  // namespace semlock

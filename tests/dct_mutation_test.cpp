@@ -262,24 +262,18 @@ constexpr int kFloodReaders = 3;
 constexpr int kFloodIters = 7;  // reader grants available: 3 x 7 = 21
 constexpr int kOracleBypassBound = 2;  // the K of BOUNDED_BYPASS under test
 
-// The certified no-starvation bound (grant_policy.h). The tracker counts
-// true overtakes only, and the allowance on top of the policy's budget has
-// two in-flight components, each worth one grant per peer thread: doorway
-// stragglers (barrier checked just before it rose) and ticket/registration
-// reorder (a peer that entered the wait loop later but drew its ticket
-// first). BOUNDED_BYPASS additionally refills its K budget for each
-// successive queue head, so K scales by the thread count (queue depth).
-// FIFO runs the same protocol with K = 0, but keeps 3 x (threads - 1):
-// the BOUNDED_BYPASS formula at K = 0 gives 6, below FIFO's observed worst
-// of 8. Worst observed over the 10k-schedule budget: FIFO 8,
-// BOUNDED_BYPASS 12 — each within its bound (9 / 14).
+// The certified no-starvation bound (grant_policy.h), one formula for
+// every K: K x threads + (threads - 1). The tracker counts true overtakes
+// of a queued waiter only; K refills once per queue head (at most one head
+// per thread), and each peer thread may land one doorway straggler (barrier
+// checked just before it rose). FIFO is K = 0. Worst observed over the
+// 10k-schedule budget: FIFO 3, BOUNDED_BYPASS 6 — within 3 / 11. FREE is
+// held to FIFO's bound: exceeding it is the liveness hole.
 std::uint64_t certified_bound(runtime::GrantPolicyKind policy) {
-  const std::uint64_t inflight = 2 * kFloodReaders;  // 2 x (threads - 1)
-  if (policy == runtime::GrantPolicyKind::BoundedBypass) {
-    return kOracleBypassBound * (kFloodReaders + 1) + inflight;
-  }
-  // FREE is held to the strictest fair standard — exceeding it is the bug.
-  return kFloodReaders + inflight;  // 3 x (threads - 1)
+  const std::uint64_t k =
+      policy == runtime::GrantPolicyKind::BoundedBypass ? kOracleBypassBound
+                                                        : 0;
+  return k * (kFloodReaders + 1) + kFloodReaders;
 }
 
 // The starvation workload of the issue: a flood of self-commuting readers

@@ -321,7 +321,6 @@ TEST(FastPathEnv, ConfigDefaultsFollowProcessEnvCache) {
   EXPECT_EQ(cfg.counter_stripes, default_counter_stripes());
   EXPECT_GE(cfg.counter_stripes, 1);
   EXPECT_EQ(cfg.storage, default_storage());
-  EXPECT_EQ(cfg.elide_locks, default_elide_locks());
 }
 
 TEST(StorageEnv, ParsesEveryRecognizedName) {
@@ -354,27 +353,6 @@ TEST(StorageEnv, NamesRoundTripThroughParse) {
     const auto parsed = parse_storage_kind(storage_kind_name(kind));
     ASSERT_TRUE(parsed.has_value()) << storage_kind_name(kind);
     EXPECT_EQ(*parsed, kind);
-  }
-}
-
-TEST(ElisionEnv, AcceptsExactlyZeroAndOne) {
-  const std::string err = captured_stderr([] {
-    EXPECT_TRUE(elision_from_env_text("1"));
-    EXPECT_FALSE(elision_from_env_text("0"));
-    // Unset: elision off, silently — it is strictly opt-in.
-    EXPECT_FALSE(elision_from_env_text(nullptr));
-  });
-  EXPECT_TRUE(err.empty()) << err;
-}
-
-TEST(ElisionEnv, MalformedValuesWarnAndStayOff) {
-  for (const char* bad : {"true", "yes", "2", "-1", "01", "1x", ""}) {
-    const std::string err = captured_stderr(
-        [bad] { EXPECT_FALSE(elision_from_env_text(bad)); });
-    EXPECT_NE(err.find("SEMLOCK_ELISION=\"" + std::string(bad) + "\""),
-              std::string::npos)
-        << "value: " << bad << "\nstderr: " << err;
-    EXPECT_NE(err.find("elision off"), std::string::npos) << err;
   }
 }
 

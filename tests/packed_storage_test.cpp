@@ -77,8 +77,7 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
   EXPECT_EQ(fields & aux, 0u) << "counter fields overlap the aux bits";
 
   // conflict_mask[m] is exactly conflicts_clear(m) compiled to one AND:
-  // the OR of the conflicting modes' field masks. doorway_mask adds the
-  // mode's own partition barrier bit, nothing else.
+  // the OR of the conflicting modes' field masks.
   for (int m = 0; m < l->num_modes; ++m) {
     const auto mi = static_cast<std::size_t>(m);
     std::uint64_t expect = 0;
@@ -86,9 +85,6 @@ TEST(PackedLayoutTest, GeometryMatchesModeTableConflicts) {
       expect |= l->field_mask[static_cast<std::size_t>(other)];
     }
     EXPECT_EQ(l->conflict_mask[mi], expect) << "mode " << m;
-    EXPECT_EQ(l->doorway_mask[mi],
-              expect | l->closed_bit[static_cast<std::size_t>(t.partition_of(m))])
-        << "mode " << m;
     // Self-conflicting modes include their own field; self-commuting don't.
     const bool self_in_mask = (l->conflict_mask[mi] & l->field_mask[mi]) != 0;
     EXPECT_EQ(self_in_mask, !t.commutes(m, m)) << "mode " << m;
@@ -394,42 +390,6 @@ TEST(Footprint, AccountsForEveryStorageKind) {
   EXPECT_GE(flat, sizeof(LockMechanism));
   EXPECT_GT(padded, flat);
   EXPECT_GT(flat, packed);
-}
-
-TEST(Elision, DisabledByDefaultAndHarmlessWhenRequested) {
-  // Without SEMLOCK_ELISION=1 the tier is off; when requested via config it
-  // may still be off (no TSX/TME compiled or no hardware support) but the
-  // mechanism must stay correct either way.
-  ModeTableConfig c;
-  c.storage = StorageKind::Packed;
-  {
-    // Pinned off (a SEMLOCK_ELISION=1 environment flips the config
-    // default): with the knob clear the tier must be off even on RTM
-    // hardware with the intrinsics compiled in.
-    ModeTableConfig off = c;
-    off.elide_locks = false;
-    const auto t = make_two_mode_table(off);
-    LockMechanism m(t);
-    EXPECT_FALSE(m.elision_enabled());
-  }
-  c.elide_locks = true;
-  const auto t = make_two_mode_table(c);
-  LockMechanism m(t);  // elision_enabled() is hardware-dependent: don't assert
-  const int clear_mode = t.resolve_constant(1);
-  long counter = 0;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 2; ++i) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < 2000; ++k) {
-        m.lock(clear_mode);
-        ++counter;
-        m.unlock(clear_mode);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(counter, 2 * 2000);
-  EXPECT_EQ(m.holders(clear_mode), 0u);
 }
 
 }  // namespace
