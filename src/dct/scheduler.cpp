@@ -38,13 +38,14 @@ struct Control {
 };
 
 // The calling thread's seat in a running schedule. A virtual thread
-// finishes when this object is destroyed, not when its body returns: it is
-// constant-initialized, so its destructor runs after those of every
-// thread_local the body created. Thread-exit code such as the obs registry
-// retirement, which takes a hooked spinlock, thus stays part of the
-// schedule. Run unscheduled, it could hold that lock while the controller
-// evaluated a blocked peer's predicate, and the schedule was declared a
-// deadlock although nothing was stuck.
+// finishes when this object is destroyed, not when its body returns, so
+// thread-exit code such as the obs registry retirement, which takes a
+// hooked spinlock, stays part of the schedule. Run unscheduled, it could
+// hold that lock while the controller evaluated a blocked peer's
+// predicate, and the schedule would be declared a deadlock although
+// nothing was stuck. This relies on thread_local destructors running in
+// reverse order of registration, which happens at first use: see
+// worker_main.
 struct VirtualThread {
   std::shared_ptr<Control> ctl;
   int tid = -1;
@@ -63,6 +64,9 @@ thread_local VirtualThread tls_vt;
 
 void worker_main(std::shared_ptr<Control> ctl, int tid,
                  std::function<void()> body) {
+  // Must stay the first thread_local this thread touches: that registers
+  // tls_vt's destructor before any the body's thread_locals register, so
+  // it runs after theirs.
   tls_vt.ctl = ctl;
   tls_vt.tid = tid;
   {

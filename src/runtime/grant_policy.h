@@ -48,9 +48,6 @@
 //
 // Grants outside that window are not overtakes: before the ticket draw the
 // barrier cannot know the waiter, and after its grant it no longer waits.
-// Counting them (an episode opened at wait-loop entry and closed after the
-// internal lock dropped) read 8 under fifo, seed 13109020281829868352: six
-// reader grants before the writer's ticket, then two doorway stragglers.
 #pragma once
 
 #include <cstdint>

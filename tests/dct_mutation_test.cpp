@@ -262,19 +262,24 @@ constexpr int kFloodReaders = 3;
 constexpr int kFloodIters = 7;  // reader grants available: 3 x 7 = 21
 constexpr int kOracleBypassBound = 2;  // the K of BOUNDED_BYPASS under test
 
-// The certified no-starvation bound (grant_policy.h), one formula for
-// every K: K x threads + (threads - 1). The tracker counts true overtakes
-// of a queued waiter only; K refills once per queue head (at most one head
-// per thread), and each peer thread may land one doorway straggler (barrier
-// checked just before it rose). FIFO is K = 0. Worst observed over the
-// 10k-schedule budget: FIFO 3, BOUNDED_BYPASS 6 — within 3 / 11. FREE is
-// held to FIFO's bound: exceeding it is the liveness hole.
-std::uint64_t certified_bound(runtime::GrantPolicyKind policy) {
+// The certified no-starvation bound of a fair policy (grant_policy.h), one
+// formula for every K: K x threads + (threads - 1). The tracker counts true
+// overtakes of a queued waiter only; K refills once per queue head (at most
+// one head per thread), and each peer thread may land one doorway straggler
+// (barrier checked just before it rose). FIFO is K = 0. Worst observed over
+// the 10k-schedule budget: FIFO 3, BOUNDED_BYPASS 6 — within 3 / 11.
+constexpr std::uint64_t certified_bound(runtime::GrantPolicyKind policy) {
   const std::uint64_t k =
       policy == runtime::GrantPolicyKind::BoundedBypass ? kOracleBypassBound
                                                         : 0;
   return k * (kFloodReaders + 1) + kFloodReaders;
 }
+
+// FREE certifies nothing. Its detector must exceed the LARGEST fair bound,
+// so a failing schedule shows FREE worse than every fair policy, not just
+// worse than the strictest one.
+constexpr std::uint64_t kFreeDetectionBound =
+    certified_bound(runtime::GrantPolicyKind::BoundedBypass);
 
 // The starvation workload of the issue: a flood of self-commuting readers
 // ({contains(*)}, kFloodReaders threads x kFloodIters acquisitions) against
@@ -338,10 +343,9 @@ dct::Workload make_flood_workload(runtime::GrantPolicyKind policy,
 
 TEST(DctStarvation, FreePolicyStarvesTheWriterWithinBudget) {
   // FREE is the documented liveness hole: the oracle must find a schedule
-  // where the reader flood bypasses the waiting writer past the bound that
-  // the fair policies certify.
-  const std::uint64_t allowed =
-      certified_bound(runtime::GrantPolicyKind::Free);
+  // where the reader flood bypasses the waiting writer past every bound
+  // that a fair policy certifies.
+  const std::uint64_t allowed = kFreeDetectionBound;
   const dct::ExploreOptions opts = budget_options();
   const auto factory = [allowed] {
     return make_flood_workload(runtime::GrantPolicyKind::Free, allowed);
